@@ -1,4 +1,4 @@
-// Sweep throughput: the signature-based SAT sweeper over real units.
+// Sweep throughput: the signature-based equivalence sweeper over real units.
 //
 // Runs the full sweep pipeline (netlist/sweep.h: strash seed -> ternary
 // constant pre-merge -> signature refinement -> exact confirmation ->
@@ -37,7 +37,7 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 }  // namespace
 
 int main() {
-  bench::header("sweep_throughput: signature-based SAT sweeping",
+  bench::header("sweep_throughput: signature-based equivalence sweeping",
                 "methodology bench (netlist sweeper, netlist/sweep.h)");
 
   const int vectors = common::env_positive_int("MFM_BENCH_VECTORS", 512);

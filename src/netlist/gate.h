@@ -115,6 +115,39 @@ constexpr bool eval_gate(GateKind k, bool a, bool b, bool c, bool d = false) {
   return false;
 }
 
+/// Word-level evaluation of one gate: every operator of eval_gate()
+/// lifted to 64 lanes with bitwise arithmetic (PackSim and the sweep's
+/// cone evaluator).
+constexpr std::uint64_t eval_gate_word(GateKind k, std::uint64_t a,
+                                       std::uint64_t b, std::uint64_t c,
+                                       std::uint64_t d) {
+  switch (k) {
+    case GateKind::Const0: return 0;
+    case GateKind::Const1: return ~0ull;
+    case GateKind::Input:  return 0;  // driven externally
+    case GateKind::Buf:    return a;
+    case GateKind::Not:    return ~a;
+    case GateKind::And2:   return a & b;
+    case GateKind::Or2:    return a | b;
+    case GateKind::Xor2:   return a ^ b;
+    case GateKind::Nand2:  return ~(a & b);
+    case GateKind::Nor2:   return ~(a | b);
+    case GateKind::Xnor2:  return ~(a ^ b);
+    case GateKind::AndNot2: return a & ~b;
+    case GateKind::OrNot2: return a | ~b;
+    case GateKind::And3:   return a & b & c;
+    case GateKind::Or3:    return a | b | c;
+    case GateKind::Xor3:   return a ^ b ^ c;
+    case GateKind::Maj3:   return (a & b) | (a & c) | (b & c);
+    case GateKind::Ao21:   return (a & b) | c;
+    case GateKind::Oa21:   return (a | b) & c;
+    case GateKind::Ao22:   return (a & b) | (c & d);
+    case GateKind::Mux2:   return (c & b) | (~c & a);
+    case GateKind::Dff:    return a;  // the simulators drive flops from state
+  }
+  return 0;
+}
+
 /// Short human-readable cell name (for reports and dumps).
 constexpr std::string_view gate_name(GateKind k) {
   switch (k) {

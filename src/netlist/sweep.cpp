@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <unordered_map>
 
+#include "common/rng.h"
 #include "netlist/compiled.h"
 #include "netlist/equiv.h"
 #include "netlist/report.h"
@@ -16,171 +17,6 @@
 namespace mfm::netlist {
 
 namespace {
-
-// ---- minimal DPLL ----------------------------------------------------------
-//
-// A two-watched-literal DPLL with chronological backtracking -- no
-// clause learning, no restarts.  It only ever decides miters of
-// signature-identical cones, which are almost always UNSAT with short
-// proofs; anything that exceeds the decision budget is reported as
-// unresolved and stays unmerged, so the solver being minimal can cost
-// optimization opportunity but never correctness.
-
-enum class SatOutcome { kUnsat, kSat, kLimit };
-
-class DpllSolver {
- public:
-  explicit DpllSolver(int nvars)
-      : nvars_(nvars), assign_(static_cast<std::size_t>(nvars), -1),
-        watches_(2 * static_cast<std::size_t>(nvars)) {}
-
-  static int lit(int var, bool negated) { return 2 * var + (negated ? 1 : 0); }
-
-  /// Adds a clause; duplicate literals are removed and tautologies
-  /// (x or !x together) are dropped.
-  void add_clause(std::vector<int> lits) {
-    std::sort(lits.begin(), lits.end());
-    lits.erase(std::unique(lits.begin(), lits.end()), lits.end());
-    for (std::size_t i = 1; i < lits.size(); ++i)
-      if ((lits[i] ^ 1) == lits[i - 1]) return;  // tautology
-    if (lits.empty()) {
-      trivially_unsat_ = true;
-      return;
-    }
-    if (lits.size() == 1) {
-      units_.push_back(lits[0]);
-      return;
-    }
-    const int idx = static_cast<int>(clauses_.size());
-    clauses_.push_back(std::move(lits));
-    watches_[static_cast<std::size_t>(clauses_.back()[0])].push_back(idx);
-    watches_[static_cast<std::size_t>(clauses_.back()[1])].push_back(idx);
-  }
-
-  SatOutcome solve(long decision_limit) {
-    if (trivially_unsat_) return SatOutcome::kUnsat;
-    for (const int u : units_)
-      if (!enqueue(u)) return SatOutcome::kUnsat;
-    if (!propagate()) return SatOutcome::kUnsat;
-    long decisions = 0;
-    int next_var = 0;
-    for (;;) {
-      while (next_var < nvars_ && assign_[static_cast<std::size_t>(
-                                      next_var)] >= 0)
-        ++next_var;
-      if (next_var == nvars_) return SatOutcome::kSat;
-      if (++decisions > decision_limit) return SatOutcome::kLimit;
-      decisions_.push_back(
-          Decision{static_cast<int>(trail_.size()), next_var, false});
-      enqueue(lit(next_var, /*negated=*/true));  // try 0 first
-      while (!propagate()) {
-        // Chronological backtracking: undo to the deepest decision
-        // whose second phase is untried, flip it there.
-        int flip_var = -1;
-        while (!decisions_.empty()) {
-          const Decision d = decisions_.back();
-          decisions_.pop_back();
-          while (static_cast<int>(trail_.size()) > d.trail_size) {
-            assign_[static_cast<std::size_t>(trail_.back() >> 1)] = -1;
-            trail_.pop_back();
-          }
-          qhead_ = trail_.size();
-          if (!d.flipped) {
-            decisions_.push_back(Decision{d.trail_size, d.var, true});
-            flip_var = d.var;
-            break;
-          }
-        }
-        if (flip_var < 0) return SatOutcome::kUnsat;
-        enqueue(lit(flip_var, /*negated=*/false));
-        // Decisions are made in ascending var order, so every var below
-        // the flipped decision was assigned before that decision was
-        // taken and survived the chronological backtrack: the scan can
-        // resume there instead of rescanning from 0.
-        next_var = flip_var;
-      }
-    }
-  }
-
- private:
-  struct Decision {
-    int trail_size;
-    int var;
-    bool flipped;
-  };
-
-  // 1 = literal true, 0 = false, -1 = unassigned.
-  int value(int l) const {
-    const int v = assign_[static_cast<std::size_t>(l >> 1)];
-    if (v < 0) return -1;
-    return (l & 1) ? 1 - v : v;
-  }
-
-  bool enqueue(int l) {
-    const int v = value(l);
-    if (v == 0) return false;
-    if (v < 0) {
-      assign_[static_cast<std::size_t>(l >> 1)] =
-          static_cast<std::int8_t>((l & 1) ? 0 : 1);
-      trail_.push_back(l);
-    }
-    return true;
-  }
-
-  bool propagate() {
-    while (qhead_ < trail_.size()) {
-      const int l = trail_[qhead_++];
-      const int fl = l ^ 1;  // this literal just became false
-      std::vector<int>& ws = watches_[static_cast<std::size_t>(fl)];
-      std::size_t keep = 0;
-      for (std::size_t i = 0; i < ws.size(); ++i) {
-        const int ci = ws[i];
-        std::vector<int>& cl = clauses_[static_cast<std::size_t>(ci)];
-        if (cl[0] == fl) std::swap(cl[0], cl[1]);
-        if (value(cl[0]) == 1) {
-          ws[keep++] = ci;
-          continue;
-        }
-        bool moved = false;
-        for (std::size_t k = 2; k < cl.size(); ++k)
-          if (value(cl[k]) != 0) {
-            std::swap(cl[1], cl[k]);
-            watches_[static_cast<std::size_t>(cl[1])].push_back(ci);
-            moved = true;
-            break;
-          }
-        if (moved) continue;
-        ws[keep++] = ci;  // stays watched on fl
-        if (!enqueue(cl[0])) {
-          for (++i; i < ws.size(); ++i) ws[keep++] = ws[i];
-          ws.resize(keep);
-          return false;
-        }
-      }
-      ws.resize(keep);
-    }
-    return true;
-  }
-
-  int nvars_;
-  bool trivially_unsat_ = false;
-  std::vector<std::int8_t> assign_;
-  std::vector<std::vector<int>> clauses_;
-  std::vector<std::vector<int>> watches_;
-  std::vector<int> units_;
-  std::vector<int> trail_;
-  std::vector<Decision> decisions_;
-  std::size_t qhead_ = 0;
-};
-
-// ---- signatures ------------------------------------------------------------
-
-std::uint64_t mix64(std::uint64_t h) {
-  h += 0x9E3779B97F4A7C15ull;
-  h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9ull;
-  h = (h ^ (h >> 27)) * 0x94D049BB133111EBull;
-  return h ^ (h >> 31);
-}
 
 // ---- cones -----------------------------------------------------------------
 
@@ -196,18 +32,19 @@ bool is_cut(const Circuit& c, const PinMap& pinned, NetId n) {
 
 /// Scratch shared across the many confirmation calls of one sweep
 /// (stamp-based visited marks avoid re-zeroing O(n) arrays per pair).
-struct ConfirmScratch {
+struct ConeScratch {
   std::vector<std::uint32_t> stamp;
   std::vector<std::uint32_t> lidx;  // net -> dense local index
   std::uint32_t epoch = 0;
   std::vector<NetId> cone;  // non-cut gates, topological (ascending id)
   std::vector<NetId> vars;  // free support: unpinned inputs + flop outputs
   std::vector<NetId> cuts;  // constant cut nets (consts + pinned)
+  std::vector<std::uint64_t> val;  // local index -> 64-lane word
 };
 
 /// Gathers the combined cone of @p a and @p b up to the cut frontier.
 void gather_cone(const Circuit& c, const PinMap& pinned, NetId a, NetId b,
-                 ConfirmScratch& s) {
+                 ConeScratch& s) {
   s.cone.clear();
   s.vars.clear();
   s.cuts.clear();
@@ -247,169 +84,74 @@ std::uint64_t cut_word(const Circuit& c, const PinMap& pinned, NetId n) {
   return c.gate(n).kind == GateKind::Const1 ? ~0ull : 0;
 }
 
-/// Word-level evaluation of one gate (the PackSim lift, re-stated here
-/// for standalone cone evaluation).
-std::uint64_t eval_word(GateKind k, std::uint64_t a, std::uint64_t b,
-                        std::uint64_t c, std::uint64_t d) {
-  switch (k) {
-    case GateKind::Buf: return a;
-    case GateKind::Not: return ~a;
-    case GateKind::And2: return a & b;
-    case GateKind::Or2: return a | b;
-    case GateKind::Xor2: return a ^ b;
-    case GateKind::Nand2: return ~(a & b);
-    case GateKind::Nor2: return ~(a | b);
-    case GateKind::Xnor2: return ~(a ^ b);
-    case GateKind::AndNot2: return a & ~b;
-    case GateKind::OrNot2: return a | ~b;
-    case GateKind::And3: return a & b & c;
-    case GateKind::Or3: return a | b | c;
-    case GateKind::Xor3: return a ^ b ^ c;
-    case GateKind::Maj3: return (a & b) | (a & c) | (b & c);
-    case GateKind::Ao21: return (a & b) | c;
-    case GateKind::Oa21: return (a | b) & c;
-    case GateKind::Ao22: return (a & b) | (c & d);
-    case GateKind::Mux2: return (c & b) | (~c & a);
-    default: return 0;
-  }
-}
-
-enum class ConfirmOutcome { kProvenExhaustive, kProvenSat, kRefuted,
-                            kUnresolved };
-
-/// Exhaustive confirmation: evaluates both cones over every assignment
-/// of the free support, 64 assignments per pass.
-ConfirmOutcome confirm_exhaustive(const Circuit& c, const PinMap& pinned,
-                                  NetId a, NetId b, ConfirmScratch& s) {
-  static constexpr std::uint64_t kPat[6] = {
-      0xAAAAAAAAAAAAAAAAull, 0xCCCCCCCCCCCCCCCCull, 0xF0F0F0F0F0F0F0F0ull,
-      0xFF00FF00FF00FF00ull, 0xFFFF0000FFFF0000ull, 0xFFFFFFFF00000000ull};
-  const int k = static_cast<int>(s.vars.size());
-  // Dense local indices for every net the evaluation touches.
-  std::vector<std::uint64_t> val(s.vars.size() + s.cuts.size() +
-                                 s.cone.size());
+/// The cone evaluator: evaluates the cone gathered in @p s over
+/// @p passes 64-lane assignments of its free support, where
+/// support_word(pass, i) is the word of s.vars[i] in that pass.  Returns
+/// true as soon as a lane in @p valid sets @p a and @p b apart -- a
+/// witness that the pair is not equivalent.
+template <typename SupportWord>
+bool cone_differs(const Circuit& c, const PinMap& pinned, NetId a, NetId b,
+                  std::uint64_t passes, std::uint64_t valid,
+                  SupportWord support_word, ConeScratch& s) {
+  // Dense local indices: the support first (so vars[i] is slot i), then
+  // the constant cuts, then the cone in topological order.
   std::uint32_t next = 0;
-  ++s.epoch;  // reuse stamp to mark "lidx valid this call"
-  auto index = [&](NetId n) {
-    s.stamp[n] = s.epoch;
-    s.lidx[n] = next++;
-  };
-  for (const NetId v : s.vars) index(v);
-  for (const NetId cu : s.cuts) {
-    index(cu);
-    val[s.lidx[cu]] = cut_word(c, pinned, cu);
-  }
-  for (const NetId g : s.cone) index(g);
+  for (const NetId v : s.vars) s.lidx[v] = next++;
+  for (const NetId cu : s.cuts) s.lidx[cu] = next++;
+  for (const NetId g : s.cone) s.lidx[g] = next++;
+  s.val.resize(next);
+  for (const NetId cu : s.cuts) s.val[s.lidx[cu]] = cut_word(c, pinned, cu);
 
-  const std::uint64_t passes = k > 6 ? (1ull << (k - 6)) : 1;
-  const std::uint64_t valid =
-      k >= 6 ? ~0ull : ((1ull << (1u << k)) - 1);
   for (std::uint64_t pass = 0; pass < passes; ++pass) {
-    for (int i = 0; i < k; ++i)
-      val[s.lidx[s.vars[static_cast<std::size_t>(i)]]] =
-          i < 6 ? kPat[i] : ((pass >> (i - 6)) & 1 ? ~0ull : 0);
+    for (std::size_t i = 0; i < s.vars.size(); ++i)
+      s.val[i] = support_word(pass, i);
     for (const NetId n : s.cone) {
       const Gate& g = c.gate(n);
       const int nin = fanin_count(g.kind);
-      const std::uint64_t wa = nin > 0 ? val[s.lidx[g.in[0]]] : 0;
-      const std::uint64_t wb = nin > 1 ? val[s.lidx[g.in[1]]] : 0;
-      const std::uint64_t wc = nin > 2 ? val[s.lidx[g.in[2]]] : 0;
-      const std::uint64_t wd = nin > 3 ? val[s.lidx[g.in[3]]] : 0;
-      val[s.lidx[n]] = eval_word(g.kind, wa, wb, wc, wd);
+      const std::uint64_t wa = nin > 0 ? s.val[s.lidx[g.in[0]]] : 0;
+      const std::uint64_t wb = nin > 1 ? s.val[s.lidx[g.in[1]]] : 0;
+      const std::uint64_t wc = nin > 2 ? s.val[s.lidx[g.in[2]]] : 0;
+      const std::uint64_t wd = nin > 3 ? s.val[s.lidx[g.in[3]]] : 0;
+      s.val[s.lidx[n]] = eval_gate_word(g.kind, wa, wb, wc, wd);
     }
-    if (((val[s.lidx[a]] ^ val[s.lidx[b]]) & valid) != 0)
-      return ConfirmOutcome::kRefuted;
-  }
-  return ConfirmOutcome::kProvenExhaustive;
-}
-
-/// Random refutation over just the pair's cone: @p passes evaluations
-/// of 64 random support assignments each.  Returns true when a
-/// differing assignment was found (the pair is definitely not
-/// equivalent) -- the cheap filter that keeps signature collisions with
-/// wide support away from the CNF stage.
-bool random_refutes(const Circuit& c, const PinMap& pinned, NetId a, NetId b,
-                    int passes, std::uint64_t seed, ConfirmScratch& s) {
-  std::vector<std::uint64_t> val(s.vars.size() + s.cuts.size() +
-                                 s.cone.size());
-  std::uint32_t next = 0;
-  ++s.epoch;
-  auto index = [&](NetId n) {
-    s.stamp[n] = s.epoch;
-    s.lidx[n] = next++;
-  };
-  for (const NetId v : s.vars) index(v);
-  for (const NetId cu : s.cuts) {
-    index(cu);
-    val[s.lidx[cu]] = cut_word(c, pinned, cu);
-  }
-  for (const NetId g : s.cone) index(g);
-
-  std::mt19937_64 rng(seed ^ (0x9E3779B97F4A7C15ull * (a + 1)) ^
-                      (0xC2B2AE3D27D4EB4Full * (b + 1)));
-  for (int pass = 0; pass < passes; ++pass) {
-    for (const NetId v : s.vars) val[s.lidx[v]] = rng();
-    for (const NetId n : s.cone) {
-      const Gate& g = c.gate(n);
-      const int nin = fanin_count(g.kind);
-      const std::uint64_t wa = nin > 0 ? val[s.lidx[g.in[0]]] : 0;
-      const std::uint64_t wb = nin > 1 ? val[s.lidx[g.in[1]]] : 0;
-      const std::uint64_t wc = nin > 2 ? val[s.lidx[g.in[2]]] : 0;
-      const std::uint64_t wd = nin > 3 ? val[s.lidx[g.in[3]]] : 0;
-      val[s.lidx[n]] = eval_word(g.kind, wa, wb, wc, wd);
-    }
-    if (val[s.lidx[a]] != val[s.lidx[b]]) return true;
+    if (((s.val[s.lidx[a]] ^ s.val[s.lidx[b]]) & valid) != 0) return true;
   }
   return false;
 }
 
-/// CNF miter confirmation: Tseitin-encodes both cones (shared gates
-/// shared) via per-gate truth tables, asserts a != b, and runs DPLL.
-ConfirmOutcome confirm_sat(const Circuit& c, const PinMap& pinned, NetId a,
-                           NetId b, long decision_limit, ConfirmScratch& s) {
-  ++s.epoch;
-  std::uint32_t next = 0;
-  auto index = [&](NetId n) {
-    s.stamp[n] = s.epoch;
-    s.lidx[n] = next++;
-  };
-  for (const NetId v : s.vars) index(v);
-  for (const NetId cu : s.cuts) index(cu);
-  for (const NetId g : s.cone) index(g);
+enum class ConfirmOutcome { kProven, kRefuted, kUnresolved };
 
-  DpllSolver solver(static_cast<int>(next));
-  for (const NetId cu : s.cuts)
-    solver.add_clause({DpllSolver::lit(
-        static_cast<int>(s.lidx[cu]),
-        /*negated=*/cut_word(c, pinned, cu) == 0)});
-  for (const NetId n : s.cone) {
-    const Gate& g = c.gate(n);
-    const int nin = fanin_count(g.kind);
-    const int out = static_cast<int>(s.lidx[n]);
-    for (unsigned row = 0; row < (1u << nin); ++row) {
-      const bool va = (row >> 0) & 1, vb = (row >> 1) & 1;
-      const bool vc = (row >> 2) & 1, vd = (row >> 3) & 1;
-      const bool fv = eval_gate(g.kind, va, vb, vc, vd);
-      std::vector<int> clause;
-      clause.reserve(static_cast<std::size_t>(nin) + 1);
-      for (int p = 0; p < nin; ++p)
-        clause.push_back(DpllSolver::lit(
-            static_cast<int>(s.lidx[g.in[static_cast<std::size_t>(p)]]),
-            /*negated=*/((row >> p) & 1) != 0));
-      clause.push_back(DpllSolver::lit(out, /*negated=*/!fv));
-      solver.add_clause(std::move(clause));
-    }
+/// Exact confirmation of one candidate pair on its gathered cone.  A
+/// free support of at most exhaustive_support_limit variables is
+/// evaluated over every assignment, 64 per pass: proven or refuted.  A
+/// wider support gets random_refute_passes passes of random assignments,
+/// which can only refute -- a survivor is unresolved and stays unmerged.
+ConfirmOutcome confirm_pair(const Circuit& c, const PinMap& pinned, NetId a,
+                            NetId b, const SweepOptions& opt,
+                            ConeScratch& s) {
+  const int k = static_cast<int>(s.vars.size());
+  if (k <= opt.exhaustive_support_limit) {
+    static constexpr std::uint64_t kPat[6] = {
+        0xAAAAAAAAAAAAAAAAull, 0xCCCCCCCCCCCCCCCCull, 0xF0F0F0F0F0F0F0F0ull,
+        0xFF00FF00FF00FF00ull, 0xFFFF0000FFFF0000ull, 0xFFFFFFFF00000000ull};
+    const std::uint64_t passes = k > 6 ? (1ull << (k - 6)) : 1;
+    const std::uint64_t valid =
+        k >= 6 ? ~0ull : ((1ull << (1u << k)) - 1);
+    const bool differs = cone_differs(
+        c, pinned, a, b, passes, valid,
+        [](std::uint64_t pass, std::size_t i) -> std::uint64_t {
+          return i < 6 ? kPat[i] : ((pass >> (i - 6)) & 1 ? ~0ull : 0);
+        },
+        s);
+    return differs ? ConfirmOutcome::kRefuted : ConfirmOutcome::kProven;
   }
-  const int la = static_cast<int>(s.lidx[a]);
-  const int lb = static_cast<int>(s.lidx[b]);
-  solver.add_clause({DpllSolver::lit(la, false), DpllSolver::lit(lb, false)});
-  solver.add_clause({DpllSolver::lit(la, true), DpllSolver::lit(lb, true)});
-  switch (solver.solve(decision_limit)) {
-    case SatOutcome::kUnsat: return ConfirmOutcome::kProvenSat;
-    case SatOutcome::kSat: return ConfirmOutcome::kRefuted;
-    case SatOutcome::kLimit: return ConfirmOutcome::kUnresolved;
-  }
-  return ConfirmOutcome::kUnresolved;
+  std::mt19937_64 rng(opt.seed ^ (0x9E3779B97F4A7C15ull * (a + 1)) ^
+                      (0xC2B2AE3D27D4EB4Full * (b + 1)));
+  const bool differs = cone_differs(
+      c, pinned, a, b,
+      static_cast<std::uint64_t>(std::max(opt.random_refute_passes, 0)),
+      ~0ull, [&rng](std::uint64_t, std::size_t) { return rng(); }, s);
+  return differs ? ConfirmOutcome::kRefuted : ConfirmOutcome::kUnresolved;
 }
 
 // ---- union-find ------------------------------------------------------------
@@ -451,7 +193,7 @@ SweepResult sweep_circuit(const Circuit& c, const SweepOptions& opt,
   // 1b. Ternary constant pre-merge: a net that Kleene propagation under
   //     the pins proves stuck at 0/1 merges into that constant source
   //     directly -- the blanked-cone bulk of a mode-specialized sweep,
-  //     proven without touching the solver.  Flops are X (first-cycle
+  //     proven without evaluating a single cone.  Flops are X (first-cycle
   //     semantics), matching the sweep's state-as-free-cut-variable
   //     model: a steady-state-only constant must NOT be merged.
   {
@@ -500,7 +242,7 @@ SweepResult sweep_circuit(const Circuit& c, const SweepOptions& opt,
       }
       ps.eval();
       for (NetId net = 0; net < n; ++net)
-        sig[net] = mix64(sig[net] ^ ps.word(net));
+        sig[net] = common::splitmix64(sig[net] ^ ps.word(net));
     };
 
     // Directed rounds: lane 0 all-zeros, lane 1 all-ones, lanes 2..63
@@ -525,7 +267,7 @@ SweepResult sweep_circuit(const Circuit& c, const SweepOptions& opt,
   for (NetId net = 0; net < n; ++net)
     if (strash.rep[net] == net) groups[sig[net]].push_back(net);
 
-  ConfirmScratch scratch;
+  ConeScratch scratch;
   scratch.stamp.assign(n, 0);
   scratch.lidx.assign(n, 0);
 
@@ -558,24 +300,10 @@ SweepResult sweep_circuit(const Circuit& c, const SweepOptions& opt,
       for (const NetId leader : reps) {
         ++rep.candidates;
         gather_cone(c, pinned, leader, m, scratch);
-        ConfirmOutcome out;
-        if (static_cast<int>(scratch.vars.size()) <=
-            opt.exhaustive_support_limit)
-          out = confirm_exhaustive(c, pinned, leader, m, scratch);
-        else if (random_refutes(c, pinned, leader, m,
-                                opt.random_refute_passes, opt.seed, scratch))
-          out = ConfirmOutcome::kRefuted;
-        else if (scratch.cone.size() > opt.max_cone_gates)
-          out = ConfirmOutcome::kUnresolved;
-        else
-          out = confirm_sat(c, pinned, leader, m, opt.dpll_decision_limit,
-                            scratch);
-        if (out == ConfirmOutcome::kProvenExhaustive ||
-            out == ConfirmOutcome::kProvenSat) {
-          if (out == ConfirmOutcome::kProvenExhaustive)
-            ++rep.proven_exhaustive;
-          else
-            ++rep.proven_sat;
+        const ConfirmOutcome out =
+            confirm_pair(c, pinned, leader, m, opt, scratch);
+        if (out == ConfirmOutcome::kProven) {
+          ++rep.proven_exhaustive;
           const NetId ra = uf_find(parent, leader);
           const NetId rb = uf_find(parent, m);
           if (ra != rb) parent[std::max(ra, rb)] = std::min(ra, rb);
@@ -584,7 +312,7 @@ SweepResult sweep_circuit(const Circuit& c, const SweepOptions& opt,
         }
         if (out == ConfirmOutcome::kUnresolved) {
           ++rep.unresolved;
-          placed = true;  // over budget: stop trying this net
+          placed = true;  // not decidable here: stop trying this net
           break;
         }
         ++rep.refuted;
@@ -664,9 +392,8 @@ std::string sweep_report_text(const SweepReport& rep,
   os << "strash-merged " << rep.strash_merged << ", ternary constants "
      << rep.proven_ternary << "; signature classes "
      << rep.candidate_classes << ", confirmations " << rep.candidates
-     << ": exhaustive " << rep.proven_exhaustive << ", sat "
-     << rep.proven_sat << ", refuted " << rep.refuted << ", unresolved "
-     << rep.unresolved << "\n";
+     << ": exhaustive " << rep.proven_exhaustive << ", refuted "
+     << rep.refuted << ", unresolved " << rep.unresolved << "\n";
   if (rep.verify_ran)
     os << "verify: " << (rep.verified ? "PASS" : "FAIL") << " ("
        << rep.verify_vectors << " vectors)"

@@ -1,5 +1,5 @@
-// Signature-based SAT sweeping over a Circuit: find nets that compute
-// the same function, prove it, and merge them.
+// Signature-based sweeping over a Circuit: find nets that compute the
+// same function, prove it, and merge them.
 //
 // The generators emit structurally redundant nets that structural_hash
 // (netlist/structural_hash.h) can *detect* but nothing could *merge*;
@@ -15,10 +15,11 @@
 //      rounds plus seeded-random rounds -- pinned inputs are held at
 //      their pin value via PackSim::force(), DFF outputs are forced to
 //      fresh random words each round so state is a free cut variable;
-//   3. confirm each surviving candidate pair exactly: exhaustive cone
-//      evaluation when the pair's free support is small, otherwise a
-//      Tseitin CNF miter decided by a built-in DPLL solver (bounded;
-//      over-budget pairs stay unmerged, never wrongly merged);
+//   3. confirm each surviving candidate pair on its combined cone:
+//      exhaustive 64-lane evaluation proves or refutes a pair whose free
+//      support is small; a wider pair can only be refuted, by random
+//      cone passes -- one it survives is unresolved and stays unmerged,
+//      never wrongly merged;
 //   4. merge proven classes through Circuit::merge_rewrite() -- fan-ins
 //      rewired to the class leader, dead cones swept -- and re-verify
 //      the merged netlist against the original with check_equivalence
@@ -55,26 +56,15 @@ struct SweepOptions {
   std::uint64_t seed = 0x5EE9;
 
   /// Candidate pairs whose combined cone has at most this many free
-  /// support variables (unpinned inputs + flop outputs) are confirmed
-  /// by exhaustive 64-lane cone evaluation.
+  /// support variables (unpinned inputs + flop outputs) are proven or
+  /// refuted by exhaustive 64-lane cone evaluation.
   int exhaustive_support_limit = 14;
-  /// Wider-support pairs are first attacked by this many random 64-lane
-  /// passes over just the pair's cone -- the cheap refuter that keeps
-  /// signature collisions away from the CNF stage.
+  /// Wider-support pairs get this many random 64-lane passes over just
+  /// the pair's cone.  They can only refute: a pair that survives them
+  /// counts as unresolved and stays unmerged.  In the shipped
+  /// generators every merge beyond strash comes from the ternary or
+  /// exhaustive stages; the survivors are near-miss non-equivalences.
   int random_refute_passes = 96;
-  /// Pairs surviving random refutation go to CNF + DPLL, unless the
-  /// combined cone exceeds this many gates (then: unresolved).  Kept
-  /// small on purpose: in the shipped generators every proven merge
-  /// beyond strash comes from the ternary or exhaustive stages, and a
-  /// miter this size with no clause learning is a pure budget burn.
-  std::size_t max_cone_gates = 1500;
-  /// DPLL budget in decisions; exceeded means unresolved, not merged.
-  /// The built-in solver has no clause learning, so this is kept small:
-  /// the wide-support merges that matter (blanked cones collapsing into
-  /// constants under pins, buffer chains) are proven almost entirely by
-  /// unit propagation, while near-miss pairs (sum bits differing only
-  /// on rare carry patterns) would burn any budget unproductively.
-  long dpll_decision_limit = 500;
 
   /// Re-verify the merged circuit against the original.
   bool verify = true;
@@ -102,9 +92,10 @@ struct SweepReport {
   std::size_t candidate_classes = 0; ///< signature classes beyond strash
   std::size_t candidates = 0;        ///< exact confirmations attempted
   std::size_t proven_exhaustive = 0; ///< proven by exhaustive cones
-  std::size_t proven_sat = 0;        ///< proven by the CNF/DPLL miter
+  std::size_t proven_sat = 0;        ///< always 0: no SAT stage; kept
+                                     ///< in the report schema
   std::size_t refuted = 0;           ///< signature collisions disproven
-  std::size_t unresolved = 0;        ///< over budget; left unmerged
+  std::size_t unresolved = 0;        ///< wide, not refuted; left unmerged
   std::size_t merged_gates = 0;      ///< total gates merged into a leader
   std::size_t dead_gates = 0;        ///< additional dead gates swept
 

@@ -10,21 +10,16 @@
 
 #include "common/env.h"
 #include "common/parallel.h"
+#include "common/rng.h"
 #include "netlist/compiled.h"
 #include "netlist/sim_event.h"
 
 namespace mfm::power {
 
 using common::env_positive_int;
+using common::splitmix64;
 
 namespace {
-
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
 
 /// Seed of shard @p s: a pure function of (seed, s).  splitmix64
 /// decorrelates the mt19937_64 streams of adjacent shards.

@@ -9,6 +9,11 @@ namespace {
 struct TableIvRow {
   const FormatSpec* f;
   int storage, precision, exp_bits, emax, bias, trailing;
+  // Without this gtest prints the raw bytes, pointer included, and the
+  // pointer would make the ctest name differ from build to build.
+  friend void PrintTo(const TableIvRow& r, std::ostream* os) {
+    *os << r.f->name;
+  }
 };
 
 class TableIv : public ::testing::TestWithParam<TableIvRow> {};

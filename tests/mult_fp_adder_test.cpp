@@ -7,6 +7,7 @@
 #include <bit>
 #include <random>
 
+#include "format_printer.h"
 #include "fp/softfloat.h"
 #include "mult/fp_adder.h"
 #include "netlist/sim_level.h"

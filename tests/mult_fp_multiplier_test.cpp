@@ -6,6 +6,7 @@
 #include <random>
 #include <tuple>
 
+#include "format_printer.h"
 #include "fp/softfloat.h"
 #include "mult/fp_multiplier.h"
 #include "netlist/sim_level.h"

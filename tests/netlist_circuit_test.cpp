@@ -14,6 +14,11 @@ namespace {
 struct KindCase {
   GateKind kind;
   int arity;
+  // Without this gtest prints the raw bytes, padding included, and that
+  // uninitialised padding would end up in the ctest name.
+  friend void PrintTo(const KindCase& c, std::ostream* os) {
+    *os << '{' << gate_name(c.kind) << ", " << c.arity << '}';
+  }
 };
 
 class GateEvalTest : public ::testing::TestWithParam<KindCase> {};

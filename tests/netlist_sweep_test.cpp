@@ -1,7 +1,8 @@
 // Sweep pipeline tests: strash normalization corner cases, signature
-// collisions that the exact-confirmation stage must refute, pinned-mode
-// merges, the merge_rewrite preconditions, and post-merge equivalence
-// (plus netlist-vs-model) cross-checks on real generators.
+// collisions that the confirmation stage must refute or leave unmerged,
+// pinned-mode merges, the merge_rewrite preconditions, and post-merge
+// equivalence (plus netlist-vs-model) cross-checks on real generators,
+// with their merge counts pinned.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -80,25 +81,52 @@ NetId needle_comparator(Circuit& c, const Bus& x, std::uint64_t needle) {
   return acc;
 }
 
-TEST(Sweep, SignatureCollisionRefutedBySat) {
-  // 20 free inputs: beyond the exhaustive-support limit, so the pair
-  // (comparator, const0) must reach the CNF/DPLL stage and be refuted
-  // there -- never merged.
+TEST(Sweep, WideSupportCollisionStaysUnmerged) {
+  // 20 free inputs: beyond the exhaustive-support limit, and with the
+  // random refuter off nothing can decide the pair (comparator, const0):
+  // it must count as unresolved and stay unmerged.
   Circuit c;
   const Bus x = c.input_bus("x", 20);
   const NetId eq = needle_comparator(c, x, 0xA6D36u);
   c.output("eq", eq);
   SweepOptions opt;
   opt.exhaustive_support_limit = 14;
-  opt.random_refute_passes = 0;  // force the decision onto the solver
+  opt.random_refute_passes = 0;
   const SweepResult res = sweep_circuit(c, opt);
   EXPECT_GE(res.report.candidates, 1u) << "signature did not collide";
-  EXPECT_GE(res.report.refuted, 1u);
+  EXPECT_GE(res.report.unresolved, 1u);
   EXPECT_EQ(res.leader[eq], eq) << "comparator was merged into a constant";
   ASSERT_TRUE(res.report.verify_ran);
   EXPECT_TRUE(res.report.verified) << res.report.counterexample;
   const EquivResult eqr = check_equivalence(c, *res.circuit, 2000);
   EXPECT_TRUE(eqr.equivalent) << eqr.counterexample;
+}
+
+TEST(Sweep, WideSupportCollisionRefutedByRandomPasses) {
+  // 16 free inputs: a 12-bit needle gated by the parity of the other
+  // four fires on 1 in 8192 assignments, so one signature round misses
+  // it and the pair (g, const0) -- like (g, needle) -- is past the
+  // exhaustive limit.  Only the random cone passes can refute it.
+  Circuit c;
+  const Bus x = c.input_bus("x", 16);
+  const NetId needle =
+      needle_comparator(c, Bus(x.begin(), x.begin() + 12), 0xA6Du);
+  const NetId g = c.and2(
+      needle, c.xor2(c.xor2(x[12], x[13]), c.xor2(x[14], x[15])));
+  c.output("g", g);
+  SweepOptions opt;
+  opt.signature_rounds = 1;
+  opt.random_refute_passes = 0;
+  const SweepResult blind = sweep_circuit(c, opt);
+  ASSERT_GE(blind.report.unresolved, 1u) << "signature did not collide";
+
+  opt.random_refute_passes = 2048;  // ~16 expected hits per pair
+  const SweepResult res = sweep_circuit(c, opt);
+  EXPECT_EQ(res.report.unresolved, 0u);
+  EXPECT_GT(res.report.refuted, blind.report.refuted);
+  EXPECT_EQ(res.leader[g], g);
+  ASSERT_TRUE(res.report.verify_ran);
+  EXPECT_TRUE(res.report.verified) << res.report.counterexample;
 }
 
 TEST(Sweep, SignatureCollisionRefutedExhaustively) {
@@ -312,6 +340,9 @@ TEST(Sweep, Mult8SweepsAndStaysCorrect) {
   opt.verify_vectors = 2000;
   const SweepResult res = sweep_circuit(*unit.circuit, opt);
   EXPECT_GT(res.report.gates_removed(), 0u);
+  EXPECT_EQ(res.report.merged_gates, 107u);
+  EXPECT_EQ(res.report.dead_gates, 43u);
+  EXPECT_EQ(res.report.gates_after, 511u);
   ASSERT_TRUE(res.report.verify_ran);
   EXPECT_TRUE(res.report.verified) << res.report.counterexample;
 
@@ -338,6 +369,9 @@ TEST(Sweep, ReduceUnitSweepsAndVerifies) {
   SweepOptions opt;
   opt.verify_vectors = 2000;
   const SweepResult res = sweep_circuit(*unit.circuit, opt);
+  EXPECT_EQ(res.report.merged_gates, 5u);
+  EXPECT_EQ(res.report.dead_gates, 34u);
+  EXPECT_EQ(res.report.gates_after, 50u);
   ASSERT_TRUE(res.report.verify_ran);
   EXPECT_TRUE(res.report.verified) << res.report.counterexample;
   const EquivResult eq = check_equivalence(*unit.circuit, *res.circuit, 2000);
@@ -361,6 +395,9 @@ TEST(Sweep, MfUnitFp32x1ModeSpecializes) {
   opt.verify_vectors = 1000;
   const SweepResult res = sweep_circuit(c, opt);
   EXPECT_GT(res.report.gates_removed(), 0u);
+  EXPECT_EQ(res.report.merged_gates, 14705u);
+  EXPECT_EQ(res.report.dead_gates, 604u);
+  EXPECT_EQ(res.report.gates_after, 3657u);
   ASSERT_TRUE(res.report.verify_ran);
   EXPECT_TRUE(res.report.verified) << res.report.counterexample;
 }

@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "cli_util.h"
+#include "common/rng.h"
 #include "netlist/glitch.h"
 #include "netlist/report.h"
 #include "netlist/techlib.h"
@@ -44,6 +45,7 @@
 
 namespace {
 
+using mfm::common::splitmix64;
 using mfm::netlist::GlitchCrossCheck;
 using mfm::netlist::GlitchOptions;
 using mfm::netlist::GlitchReport;
@@ -71,13 +73,6 @@ int usage() {
                "[--min-overlap=F] [--min-corr=F]\n",
                mfm::cli::common_usage(/*with_seed=*/true));
   return 2;
-}
-
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
 }
 
 /// Both analyses plus the cross-validation, as one roster job body.

@@ -12,7 +12,7 @@
 // combinational build) -- unpinned and under each format's control
 // pins, including the fp32x1 idle-upper-lane mode -- plus the
 // single-format FP multipliers, adder, and reduction unit.  Each unit
-// runs the full pipeline as one roster job: SAT sweep (mode-specialized
+// runs the full pipeline as one roster job: sweep (mode-specialized
 // under the pins), AO/OA fusion + inverter rewriting to fixpoint
 // (default_rewrite_rules), a second sweep over the rewritten netlist,
 // and a final end-to-end equivalence proof of the result against the

@@ -1,5 +1,5 @@
-// mfm_sweep: signature-based SAT sweeping over every shipped generator
-// in the roster catalog (netlist/sweep.h, roster/roster.h).
+// mfm_sweep: signature-based equivalence sweeping over every shipped
+// generator in the roster catalog (netlist/sweep.h, roster/roster.h).
 //
 //   mfm_sweep [--json] [--only=LIST] [--rounds=N] [--seed=S]
 //             [--verify-vectors=N] [--min-total-removed=N] [--out=FILE]
@@ -12,11 +12,12 @@
 // check_equivalence) -- unpinned and under each format's control pins,
 // including the fp32x1 idle-upper-lane mode -- plus the single-format
 // FP multipliers, adder, and reduction unit.  Units are swept in
-// parallel over --threads workers (the SAT/cosim stages are
-// embarrassingly parallel across units); each merged netlist is
-// re-verified against the original under the same pins, and the
-// gates/area removed are reported per module with TechLib::lp45()
-// pricing, in catalog order -- byte-identical at any thread count.
+// parallel over --threads workers (the cone-evaluation and
+// re-verification stages are embarrassingly parallel across units);
+// each merged netlist is re-verified against the original under the
+// same pins, and the gates/area removed are reported per module with
+// TechLib::lp45() pricing, in catalog order -- byte-identical at any
+// thread count.
 //
 // Exit status is nonzero when any re-verification fails (a sweeper bug:
 // the merged netlist MUST be equivalent) or when the total number of
