@@ -1,8 +1,10 @@
 #include "netlist/fault.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <random>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 
@@ -137,11 +139,259 @@ FaultVectors FaultVectors::exhaustive(const Circuit& c,
 
 // ---- the campaign ----------------------------------------------------------
 
+namespace {
+
+/// Vectors per recorded block of the fault-free machine.  A constant, not
+/// an option: it bounds the trace at 64 * (cycles + 1) frames whatever
+/// the campaign's vector count.
+constexpr std::size_t kBlockVectors = 64;
+
+/// The fault-free machine over one block of vectors, one bit per
+/// (frame, net).  Frame f of a block is eval (f mod (cycles + 1)) of the
+/// window of the block's vector f / (cycles + 1).
+class Trace {
+ public:
+  explicit Trace(std::size_t nets) : row_words_((nets + 63) / 64) {}
+
+  /// Continues @p ref -- the unforced machine, carried across blocks
+  /// from power-on -- over vectors [v0, v1) with the campaign's window
+  /// semantics, and records every frame.
+  void record(PackSim& ref, const FaultVectors& fv, std::size_t v0,
+              std::size_t v1, int cycles) {
+    const std::size_t nets = ref.compiled().size();
+    const std::vector<NetId>& ins = fv.inputs();
+    bits_.assign(
+        (v1 - v0) * (static_cast<std::size_t>(cycles) + 1) * row_words_, 0);
+    std::uint64_t* row = bits_.data();
+    for (std::size_t v = v0; v < v1; ++v) {
+      for (std::size_t i = 0; i < ins.size(); ++i)
+        ref.set(ins[i], fv.bit(v, i) ? ~0ull : 0ull);
+      for (int cyc = 0; cyc <= cycles; ++cyc, row += row_words_) {
+        if (cyc > 0) ref.clock();
+        ref.eval();
+        for (NetId n = 0; n < nets; ++n)
+          row[n >> 6] |= (ref.word(n) & 1) << (n & 63);
+      }
+    }
+  }
+
+  /// Net @p n's fault-free value in @p frame, broadcast to all lanes.
+  std::uint64_t word(std::size_t frame, NetId n) const {
+    return 0 - ((bits_[frame * row_words_ + (n >> 6)] >> (n & 63)) & 1);
+  }
+
+ private:
+  std::size_t row_words_;
+  std::vector<std::uint64_t> bits_;  // frames x row_words_
+};
+
+/// Up to 63 consecutive sites of one class (stuck or flip); site
+/// first + k runs in lane k + 1, lane 0 stays fault-free.
+struct Group {
+  std::size_t first = 0;
+  std::size_t count = 0;
+  bool flip = false;
+  std::uint64_t all = 0;  // the group's fault lanes
+  std::uint64_t caught = 0;
+  std::size_t vectors_run = 0;
+  bool done = false;
+  /// Cone flop state carried from one block to the next (cone order).
+  std::vector<std::uint64_t> flops;
+};
+
+/// The cone evaluator: one group's victims and their union fanout cone
+/// (through flops), compiled to slot-addressed gate words.  Slots are
+/// [cone gates | cone flop state | outside nets]: cone gate i sits in
+/// slot i, a cone flop evaluates as a Dff reading its state slot, and an
+/// outside net -- a fan-in or flop D outside the cone -- holds its trace
+/// bit broadcast to all lanes, so no gate tests cone membership.  Every
+/// net outside the cone equals lane 0 in every lane, which is why only
+/// the cone is evaluated and only outputs inside it are compared.
+class ConeEval {
+ public:
+  ConeEval(const CompiledCircuit& cc, const std::vector<NetId>& outs)
+      : cc_(cc), outs_(outs), stamp_(cc.size(), 0), slot_(cc.size(), 0) {}
+
+  /// Gathers the cone of @p g's victims and compiles it.
+  void gather(const std::vector<FaultSite>& sites, const Group& g);
+
+  /// Runs @p g over the block's vectors (frames from @p trace), from
+  /// its carried flop state; counts one eval per frame.
+  void run_block(Group& g, const Trace& trace, std::size_t vectors,
+                 const FaultCampaignOptions& opt, std::uint64_t& evals);
+
+ private:
+  struct Op {
+    GateKind kind;
+    std::array<std::uint32_t, 4> in;
+  };
+  /// A victim's lane override, applied right after its gate evaluates:
+  /// stuck lanes take @c value, flip lanes invert.
+  struct Mask {
+    std::uint32_t op;
+    std::uint64_t lanes;
+    std::uint64_t value;
+  };
+
+  /// Slot of @p n as a fan-in: its cone slot, or an outside slot.
+  std::uint32_t operand(NetId n) {
+    if (stamp_[n] == epoch_) return slot_[n];
+    if (stamp_[n] != epoch_ + 1) {
+      stamp_[n] = epoch_ + 1;
+      slot_[n] = outside_base() + static_cast<std::uint32_t>(outside_.size());
+      outside_.push_back(n);
+    }
+    return slot_[n];
+  }
+  std::uint32_t state_base() const {
+    return static_cast<std::uint32_t>(cone_.size());
+  }
+  std::uint32_t outside_base() const {
+    return state_base() + static_cast<std::uint32_t>(flop_d_.size());
+  }
+
+  const CompiledCircuit& cc_;
+  const std::vector<NetId>& outs_;
+  std::vector<std::uint32_t> stamp_;  // epoch_: cone, epoch_ + 1: outside
+  std::vector<std::uint32_t> slot_;   // net -> slot, valid under stamp_
+  std::uint32_t epoch_ = 0;
+  std::vector<NetId> cone_;     // ascending net order
+  std::vector<NetId> outside_;  // outside nets the cone reads
+  std::vector<Op> ops_;         // parallel to cone_
+  std::vector<std::uint32_t> flop_d_;  // cone flop k's D slot
+  std::vector<std::uint32_t> out_slots_;
+  std::vector<Mask> masks_;     // ascending op, one per site
+  std::vector<std::uint64_t> val_;
+};
+
+void ConeEval::gather(const std::vector<FaultSite>& sites, const Group& g) {
+  epoch_ += 2;
+  cone_.clear();
+  std::vector<NetId> stack;
+  for (std::size_t k = 0; k < g.count; ++k) {
+    const NetId n = sites[g.first + k].net;
+    if (stamp_[n] != epoch_) {
+      stamp_[n] = epoch_;
+      stack.push_back(n);
+    }
+  }
+  while (!stack.empty()) {
+    const NetId n = stack.back();
+    stack.pop_back();
+    cone_.push_back(n);
+    for (const NetId f : cc_.fanout(n))
+      if (stamp_[f] != epoch_) {
+        stamp_[f] = epoch_;
+        stack.push_back(f);
+      }
+  }
+  std::sort(cone_.begin(), cone_.end());
+
+  flop_d_.clear();
+  for (std::uint32_t i = 0; i < cone_.size(); ++i) {
+    slot_[cone_[i]] = i;
+    if (cc_.kind(cone_[i]) == GateKind::Dff) flop_d_.push_back(0);
+  }
+  outside_.clear();
+  ops_.clear();
+  std::uint32_t flop = 0;
+  for (const NetId n : cone_) {
+    Op op{cc_.kind(n), {0, 0, 0, 0}};
+    const std::span<const NetId> fanin = cc_.fanin(n);
+    if (op.kind == GateKind::Dff) {
+      flop_d_[flop] = operand(fanin[0]);
+      op.in[0] = state_base() + flop++;
+    } else if (op.kind == GateKind::Input) {
+      // An input victim reads its own trace bit; its cone slot, which
+      // the other cone gates read, carries the override.
+      op.kind = GateKind::Buf;
+      op.in[0] = outside_base() + static_cast<std::uint32_t>(outside_.size());
+      outside_.push_back(n);
+    } else {
+      for (std::size_t p = 0; p < fanin.size(); ++p)
+        op.in[p] = operand(fanin[p]);
+    }
+    ops_.push_back(op);
+  }
+
+  out_slots_.clear();
+  for (const NetId o : outs_)
+    if (stamp_[o] == epoch_) out_slots_.push_back(slot_[o]);
+
+  masks_.clear();
+  for (std::size_t k = 0; k < g.count; ++k) {
+    const FaultSite& s = sites[g.first + k];
+    const std::uint64_t lane = 1ull << (k + 1);
+    masks_.push_back(
+        {slot_[s.net], lane, s.kind == FaultKind::kStuckAt1 ? lane : 0});
+  }
+  // Same-net masks may apply in any order: a group's sites own
+  // disjoint lanes.
+  std::sort(masks_.begin(), masks_.end(),
+            [](const Mask& a, const Mask& b) { return a.op < b.op; });
+
+  val_.assign(outside_base() + outside_.size(), 0);
+}
+
+void ConeEval::run_block(Group& g, const Trace& trace, std::size_t vectors,
+                         const FaultCampaignOptions& opt,
+                         std::uint64_t& evals) {
+  std::copy(g.flops.begin(), g.flops.end(), val_.begin() + state_base());
+  const auto eval_op = [this](std::size_t i) {
+    const Op& op = ops_[i];
+    val_[i] = eval_gate_word(op.kind, val_[op.in[0]], val_[op.in[1]],
+                             val_[op.in[2]], val_[op.in[3]]);
+  };
+  std::size_t frame = 0;
+  for (std::size_t v = 0; v < vectors; ++v) {
+    for (int cyc = 0; cyc <= opt.cycles; ++cyc, ++frame) {
+      if (cyc > 0)
+        for (std::size_t k = 0; k < flop_d_.size(); ++k)
+          val_[state_base() + k] = val_[flop_d_[k]];
+      for (std::size_t e = 0; e < outside_.size(); ++e)
+        val_[outside_base() + e] = trace.word(frame, outside_[e]);
+      // Stuck overrides apply on every eval, flips on the window's
+      // first eval only.
+      const bool armed = !g.flip || cyc == 0;
+      std::size_t i = 0;
+      for (const Mask& m : masks_) {
+        for (; i <= m.op; ++i) eval_op(i);
+        if (!armed) continue;
+        std::uint64_t& w = val_[m.op];
+        w = g.flip ? w ^ m.lanes : (w & ~m.lanes) | m.value;
+      }
+      for (; i < ops_.size(); ++i) eval_op(i);
+      ++evals;
+      std::uint64_t mismatch = 0;
+      for (const std::uint32_t s : out_slots_) {
+        const std::uint64_t w = val_[s];
+        mismatch |= w ^ (0 - (w & 1));
+      }
+      g.caught |= mismatch & g.all;
+    }
+    ++g.vectors_run;
+    if (opt.early_exit && g.caught == g.all) {
+      g.done = true;
+      break;
+    }
+  }
+  g.flops.assign(val_.begin() + state_base(), val_.begin() + outside_base());
+}
+
+}  // namespace
+
 FaultCampaignReport run_fault_campaign(const CompiledCircuit& cc,
                                        const std::vector<FaultSite>& sites,
                                        const FaultVectors& vectors,
                                        const FaultCampaignOptions& opt) {
   const Circuit& c = cc.circuit();
+  if (opt.cycles < 0)
+    throw std::invalid_argument("run_fault_campaign: cycles " +
+                                std::to_string(opt.cycles) + " < 0");
+  for (const FaultSite& s : sites)
+    if (s.net >= c.size())
+      throw std::invalid_argument("run_fault_campaign: site net " +
+                                  std::to_string(s.net) + " out of range");
   FaultCampaignReport rep;
   rep.sites = sites.size();
   rep.vectors = vectors.count();
@@ -153,68 +403,53 @@ FaultCampaignReport run_fault_campaign(const CompiledCircuit& cc,
     outs.insert(outs.end(), bus.begin(), bus.end());
   }
 
-  PackSim sim(cc);
-  const std::vector<NetId>& ins = vectors.inputs();
-
-  // Lane 0 is the fault-free reference; lanes 1..63 carry one fault
-  // each.  Transient groups are kept separate from stuck groups so the
-  // single-cycle arm/clear applies to a whole pass.
-  std::size_t g0 = 0;
-  while (g0 < sites.size()) {
-    const bool flip_group = sites[g0].kind == FaultKind::kFlip;
+  // Transient groups are kept separate from stuck groups so the
+  // single-eval flip applies to a whole group.
+  std::vector<Group> groups;
+  for (std::size_t g0 = 0; g0 < sites.size();) {
+    Group g;
+    g.first = g0;
+    g.flip = sites[g0].kind == FaultKind::kFlip;
     std::size_t g1 = g0 + 1;
     while (g1 < sites.size() &&
            g1 - g0 < static_cast<std::size_t>(PackSim::kLanes - 1) &&
-           (sites[g1].kind == FaultKind::kFlip) == flip_group)
+           (sites[g1].kind == FaultKind::kFlip) == g.flip)
       ++g1;
-    const std::size_t n = g1 - g0;
-    const std::uint64_t all =
-        n == 63 ? ~1ull : (((1ull << n) - 1) << 1);
-
-    // Every group must start from identical per-lane state: without
-    // this reset, lanes 1..63 of a sequential circuit would inherit
-    // register state corrupted by the previous group's faults and diff
-    // against lane 0 as phantom detections on cycle 0.
-    sim.clear_forces();
-    sim.reset();
-    if (!flip_group)
-      for (std::size_t k = 0; k < n; ++k) {
-        const FaultSite& s = sites[g0 + k];
-        sim.force(s.net, 1ull << (k + 1),
-                  s.kind == FaultKind::kStuckAt1 ? ~0ull : 0ull);
-      }
-
-    std::uint64_t caught = 0;
-    std::size_t v = 0;
-    while (v < vectors.count()) {
-      for (std::size_t i = 0; i < ins.size(); ++i)
-        sim.set(ins[i], vectors.bit(v, i) ? ~0ull : 0ull);
-      if (flip_group)
-        for (std::size_t k = 0; k < n; ++k)
-          sim.flip(sites[g0 + k].net, 1ull << (k + 1));
-      // One vector window: inputs held for cycles+1 evals; outputs are
-      // diffed against the reference lane after every eval, so a fault
-      // whose effect surfaces on an intermediate cycle is still caught.
-      for (int cyc = 0; cyc <= opt.cycles; ++cyc) {
-        if (cyc > 0) sim.clock();
-        sim.eval();
-        ++rep.evals;
-        if (flip_group && cyc == 0) sim.clear_forces();
-        std::uint64_t mismatch = 0;
-        for (const NetId o : outs) {
-          const std::uint64_t w = sim.word(o);
-          mismatch |= w ^ ((w & 1) ? ~0ull : 0ull);
-        }
-        caught |= mismatch & all;
-      }
-      ++v;
-      if (opt.early_exit && caught == all) break;
-    }
-    rep.fault_vectors += n * v;
-    for (std::size_t k = 0; k < n; ++k)
-      rep.site_detected[g0 + k] = (caught >> (k + 1)) & 1;
-    ++rep.passes;
+    g.count = g1 - g0;
+    g.all = g.count == 63 ? ~1ull : (((1ull << g.count) - 1) << 1);
+    groups.push_back(std::move(g));
     g0 = g1;
+  }
+
+  // Every group starts from power-on state at vector 0, so verdicts do
+  // not depend on how sites fall into groups.  The fault-free machine
+  // is recorded once per block and shared by every group still running.
+  PackSim ref(cc);
+  Trace trace(c.size());
+  ConeEval cone(cc, outs);
+  bool running = !groups.empty();
+  for (std::size_t v0 = 0; v0 < vectors.count() && running;
+       v0 += kBlockVectors) {
+    const std::size_t v1 = std::min(vectors.count(), v0 + kBlockVectors);
+    trace.record(ref, vectors, v0, v1, opt.cycles);
+    running = false;
+    for (Group& g : groups) {
+      if (g.done) continue;
+      // The cone is gathered again per block: between blocks a group
+      // keeps only its cone flops' words.
+      cone.gather(sites, g);
+      cone.run_block(g, trace, v1 - v0, opt, rep.evals);
+      if (g.done || v1 == vectors.count())
+        std::vector<std::uint64_t>().swap(g.flops);
+      else
+        running = true;
+    }
+  }
+  rep.passes = groups.size();
+  for (const Group& g : groups) {
+    rep.fault_vectors += g.count * g.vectors_run;
+    for (std::size_t k = 0; k < g.count; ++k)
+      rep.site_detected[g.first + k] = (g.caught >> (k + 1)) & 1;
   }
 
   // Tally and classify.  Observability comes from mfm-lint's

@@ -6,20 +6,32 @@
 // and the paper's power argument rests on the netlists being right).
 // The seed's approach copied the whole circuit per fault and simulated
 // one scalar vector at a time, which caps a test run at a few dozen
-// sampled victims; this subsystem instead rides PackSim's 64 lanes
-// (netlist/sim_pack.h): lane 0 runs the fault-free machine, lanes 1..63
-// each run one faulty machine realized by force()/flip() lane overrides
-// on the victim net -- 63 faults per eval() pass over one shared
-// compilation, the serial-fault-parallel trick twin-precision
+// sampled victims; this subsystem instead evaluates 64-lane gate words
+// (eval_gate_word, netlist/gate.h): lane 0 runs the fault-free machine,
+// lanes 1..63 each run one faulty machine -- 63 faults per group over
+// one shared compilation, the serial-fault-parallel trick twin-precision
 // verification flows use to validate mode-sectioned arrays.  Detection =
 // a faulty lane's output word differs from the reference lane on any
 // sampled cycle.
+//
+// Trace and cone.  The fault-free machine is recorded once per block of
+// 64 vectors by one unforced PackSim run (netlist/sim_pack.h), one bit
+// per (frame, net), where a frame is one eval of a vector window.  Each
+// group then evaluates only the union fanout cone of its victims
+// (through flops, in ascending net order) for every frame of the block:
+// a fan-in outside the cone reads its trace bit broadcast to all lanes,
+// each victim's lane mask applies right after its gate evaluates, cone
+// flops capture their D word from the cone (or from the trace when D is
+// outside it), and only outputs inside the cone are compared -- every
+// other net equals lane 0 by construction.  A group still running at a
+// block boundary keeps only its cone flops' words, so memory does not
+// grow with the vector count.
 //
 // Fault model:
 //   stuck-at-0/1   persistent, on every non-input, non-constant gate
 //                  output (combinational cells and DFF outputs alike);
 //   transient      single-cycle bit-flip (XOR) on the same sites,
-//                  injected on the first eval() of each vector window --
+//                  injected on the first eval of each vector window --
 //                  meaningful for the pipelined units, where the flip
 //                  must race through a register capture to be seen.
 //
@@ -76,7 +88,7 @@ std::vector<FaultSite> enumerate_stuck_faults(const Circuit& c);
 std::vector<FaultSite> enumerate_transient_faults(const Circuit& c);
 
 /// A deterministic broadcast vector set: one bit per (vector, primary
-/// input), identical for every lane of a campaign pass -- and exactly
+/// input), identical for every lane of a campaign group -- and exactly
 /// reproducible by a scalar reference simulator, which is what lets the
 /// tests cross-check campaign verdicts against the copy-circuit
 /// injector bit for bit.  Vector 0 is all-zeros, vector 1 all-ones, the
@@ -143,13 +155,13 @@ struct FaultModuleStats {
 struct FaultCampaignOptions {
   /// Clock edges between applying a vector and the final output sample
   /// (the unit's pipeline latency; 0 = combinational).  Outputs are
-  /// compared after every eval() of the window, so a fault is detected
-  /// as soon as its effect surfaces on any cycle.
+  /// compared after every eval of the window, so a fault is detected as
+  /// soon as its effect surfaces on any cycle.  Must be >= 0.
   int cycles = 0;
   /// Classify undetected faults against lint observability + ternary
   /// constants (costs one lint pass; disable for throughput benches).
   bool classify_undetected = true;
-  /// Stop a pass's vector loop once every fault in the group is
+  /// Stop a group's vector loop once every fault in the group is
   /// detected.  Disable to pin the exact work done (benchmarks).
   bool early_exit = true;
 };
@@ -161,8 +173,11 @@ struct FaultCampaignReport {
   std::size_t undetected_unobservable = 0;
   std::size_t undetected_pinned = 0;
   std::size_t vectors = 0;         ///< vector budget per fault
-  std::size_t passes = 0;          ///< 63-fault pass groups run
-  std::uint64_t evals = 0;         ///< PackSim::eval() calls
+  std::size_t passes = 0;          ///< 63-fault groups run
+  /// Group frame evaluations: one per group per frame (one eval of a
+  /// vector window, over the group's cone), not counting the evals that
+  /// record the fault-free trace.
+  std::uint64_t evals = 0;
   std::uint64_t fault_vectors = 0; ///< fault x vector applications
 
   /// Per-site verdicts, parallel to the sites the campaign ran.
@@ -180,15 +195,19 @@ struct FaultCampaignReport {
   }
 };
 
-/// Runs the lane-masked campaign: @p sites are batched 63 per pass
+/// Runs the lane-masked campaign: @p sites are batched 63 per group
 /// (lane 0 stays fault-free), every vector is broadcast to all lanes,
-/// and each vector window is cycles+1 eval() calls with outputs diffed
-/// against lane 0 after each.  Every group starts from PackSim::reset()
-/// power-on state, so verdicts are independent of how sites fall into
-/// groups (register state corrupted by one group's faults never leaks
-/// into the next).  Transient (kFlip) sites are grouped separately from
-/// stuck sites; their flip is armed for the window's first eval() only.
-/// Pinned-constant classification uses @p vectors' own pins.
+/// and each vector window is cycles+1 evals with outputs diffed against
+/// lane 0 after each.  The fault-free machine is recorded once per
+/// 64-vector block and each group evaluates only its victims' fanout
+/// cone against that trace (see the file comment).  Every group starts
+/// from power-on state (all nets and flops 0) at vector 0, so verdicts
+/// are independent of how sites fall into groups.  Transient (kFlip)
+/// sites are grouped separately from stuck sites; their flip is armed
+/// for the window's first eval only, a stuck override for every eval.
+/// Pinned-constant classification uses @p vectors' own pins.  Throws
+/// std::invalid_argument when opt.cycles < 0 or a site net is outside
+/// the circuit.
 FaultCampaignReport run_fault_campaign(const CompiledCircuit& cc,
                                        const std::vector<FaultSite>& sites,
                                        const FaultVectors& vectors,

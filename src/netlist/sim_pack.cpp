@@ -76,31 +76,21 @@ void PackSim::eval() {
     if (forced)
       for (; ov < overrides_.size() && overrides_[ov].net == i; ++ov) {
         const Override& o = overrides_[ov];
-        words_[i] = o.is_flip ? words_[i] ^ o.mask
-                              : (words_[i] & ~o.mask) | (o.value & o.mask);
+        words_[i] = (words_[i] & ~o.mask) | (o.value & o.mask);
       }
   }
 }
 
-void PackSim::add_override(const char* what, NetId n, std::uint64_t mask,
-                           std::uint64_t value, bool is_flip) {
+void PackSim::force(NetId n, std::uint64_t mask, std::uint64_t value) {
   if (n >= cc_->size())
-    throw std::invalid_argument(std::string("PackSim::") + what + ": net " +
-                                std::to_string(n) + " out of range");
+    throw std::invalid_argument("PackSim::force: net " + std::to_string(n) +
+                                " out of range");
   // Insert sorted by net, after existing overrides of the same net, so
   // same-net overrides apply in call order.
   auto it = std::upper_bound(
       overrides_.begin(), overrides_.end(), n,
       [](NetId net, const Override& o) { return net < o.net; });
-  overrides_.insert(it, Override{n, mask, value, is_flip});
-}
-
-void PackSim::force(NetId n, std::uint64_t mask, std::uint64_t value) {
-  add_override("force", n, mask, value, /*is_flip=*/false);
-}
-
-void PackSim::flip(NetId n, std::uint64_t mask) {
-  add_override("flip", n, mask, 0, /*is_flip=*/true);
+  overrides_.insert(it, Override{n, mask, value});
 }
 
 void PackSim::clear_forces() { overrides_.clear(); }

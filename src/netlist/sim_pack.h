@@ -60,28 +60,21 @@ class PackSim {
   /// Per-net lane override, applied inside eval() right after the net's
   /// word is computed: lanes selected by @p mask take the corresponding
   /// bits of @p value, so downstream gates (and clock() captures) see
-  /// the forced word.  This is the fault-injection hook (netlist/fault.h):
-  /// one stuck-at fault per lane costs nothing on the fault-free lanes.
-  /// Overrides accumulate (same-net overrides apply in call order) and
-  /// persist across eval() calls until clear_forces().  Throws
+  /// the forced word.  The sweep (netlist/sweep.h) drives pinned nets
+  /// and flop outputs of its signature passes this way.  Overrides
+  /// accumulate (same-net overrides apply in call order) and persist
+  /// across eval() calls until clear_forces().  Throws
   /// std::invalid_argument when @p n is out of range.
   void force(NetId n, std::uint64_t mask, std::uint64_t value);
-  /// XOR-masking variant of force(): inverts the lanes selected by
-  /// @p mask instead of pinning them -- a transient bit-flip when armed
-  /// for a single eval() and cleared again.
-  void flip(NetId n, std::uint64_t mask);
-  /// Removes every override installed by force()/flip().  Net words keep
-  /// their last evaluated value until the next eval().
+  /// Removes every override installed by force().  Net words keep their
+  /// last evaluated value until the next eval().
   void clear_forces();
   bool has_forces() const { return !overrides_.empty(); }
   /// Returns every lane to the power-on state: zeroes all DFF state and
   /// all net words (primary inputs included), then eval()s -- the same
   /// state a freshly constructed simulator starts from.  Installed
   /// overrides are NOT removed and apply to that eval(); call
-  /// clear_forces() first for a pristine baseline.  The fault campaign
-  /// (netlist/fault.h) resets at every group boundary so lanes 1..63
-  /// never inherit register state corrupted by the previous group's
-  /// faults.
+  /// clear_forces() first for a pristine baseline.
   void reset();
   /// Clock edge: captures every DFF's D word into its state.
   void clock();
@@ -113,17 +106,13 @@ class PackSim {
   u128 read_port(const std::string& name, int lane) const;
 
  private:
-  /// One installed override (force or flip), kept sorted by net so
-  /// eval() can apply them with a single merged forward walk.
+  /// One installed override, kept sorted by net so eval() can apply
+  /// them with a single merged forward walk.
   struct Override {
     NetId net;
     std::uint64_t mask;
-    std::uint64_t value;  // ignored for flips
-    bool is_flip;
+    std::uint64_t value;
   };
-
-  void add_override(const char* what, NetId n, std::uint64_t mask,
-                    std::uint64_t value, bool is_flip);
 
   std::unique_ptr<const CompiledCircuit> owned_;  // Circuit ctor only
   const CompiledCircuit* cc_;

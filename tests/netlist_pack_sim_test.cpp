@@ -238,25 +238,6 @@ TEST(PackSim, ForceOverridesSelectedLanesOnly) {
   EXPECT_EQ(ps.word(n_and), ~0ull);
 }
 
-TEST(PackSim, FlipInvertsMaskedLanesEachEval) {
-  Circuit c;
-  const NetId a = c.input("a");
-  const NetId q = c.dff(a);
-  c.output("o", q);
-  PackSim ps(c);
-  ps.set(a, ~0ull);
-  ps.flip(q, 0b100);
-  ps.eval();
-  // State starts at 0; lane 2's DFF output reads inverted.
-  EXPECT_EQ(ps.word(q), 0b100ull);
-  // The flipped word is what clock() captures downstream of a forced
-  // net -- here q is the victim itself, so capture comes from a's word.
-  ps.clock();
-  ps.clear_forces();
-  ps.eval();
-  EXPECT_EQ(ps.word(q), ~0ull);
-}
-
 TEST(PackSim, ResetRestoresPowerOnState) {
   Circuit c;
   const NetId a = c.input("a");
@@ -276,8 +257,8 @@ TEST(PackSim, ResetRestoresPowerOnState) {
   EXPECT_EQ(ps.word(q), 0u);
   EXPECT_EQ(ps.word(o), ~0ull);
 
-  // Installed overrides survive reset() and apply to its eval(); the
-  // fault campaign calls clear_forces() first for a pristine baseline.
+  // Installed overrides survive reset() and apply to its eval(); call
+  // clear_forces() first for a pristine baseline.
   ps.force(q, 0b1, ~0ull);
   ps.reset();
   EXPECT_EQ(ps.word(q), 0b1ull);
@@ -290,7 +271,6 @@ TEST(PackSim, ForceOutOfRangeThrows) {
   PackSim ps(c);
   const NetId bogus = static_cast<NetId>(c.size());
   EXPECT_THROW(ps.force(bogus, ~0ull, 0), std::invalid_argument);
-  EXPECT_THROW(ps.flip(bogus, 1), std::invalid_argument);
 }
 
 TEST(PackSim, WordAndValueBoundsThrow) {

@@ -13,13 +13,14 @@
 // including the fp32x1 idle-upper-lane mode, whose blanked logic shows
 // up as pinned-constant undetected faults, the structural counterpart
 // of the Table V power saving -- and the single-format FP multipliers,
-// adder and reduction unit.  Each campaign batches 63 faults per
-// PackSim pass against a fault-free reference lane over the cached
-// CompiledCircuit (shared read-only across the worker threads);
-// undetected faults are classified against mfm-lint observability and
-// the ternary constants, so the "vector-gap" count is the actionable
-// vector-quality debt.  Reports are emitted in catalog order, byte-
-// identical at any --threads value.
+// adder and reduction unit.  Each campaign records the fault-free
+// machine once per 64-vector block and runs 63 faults per group against
+// it, evaluating only the victims' fanout cone, over the cached
+// CompiledCircuit (shared read-only across the worker threads), so
+// memory stays flat at any --vectors; undetected faults are classified
+// against mfm-lint observability and the ternary constants, so the
+// "vector-gap" count is the actionable vector-quality debt.  Reports are
+// emitted in catalog order, byte-identical at any --threads value.
 //
 // --fail-under=PCT exits nonzero when any (filtered) unit's coverage is
 // below PCT, so CI can gate on it:
