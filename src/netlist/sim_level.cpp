@@ -27,8 +27,12 @@ void LevelSim::set(NetId input_net, bool v) {
 }
 
 void LevelSim::set_bus(const Bus& bus, u128 value) {
+  if (bus.size() > 128)
+    throw std::invalid_argument(
+        "LevelSim::set_bus: bus wider than 128 bits (" +
+        std::to_string(bus.size()) + ")");
   for (std::size_t i = 0; i < bus.size(); ++i)
-    set(bus[i], i < 128 && bit_of(value, static_cast<int>(i)));
+    set(bus[i], bit_of(value, static_cast<int>(i)));
 }
 
 void LevelSim::set_port(const std::string& name, u128 value) {

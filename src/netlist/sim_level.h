@@ -31,6 +31,7 @@ class LevelSim {
   /// Throws std::invalid_argument when the net is not a primary input.
   void set(NetId input_net, bool v);
   /// Sets an input bus (LSB first) from the low bits of @p value.
+  /// Throws std::invalid_argument when it is wider than 128 bits.
   void set_bus(const Bus& bus, u128 value);
   /// Sets a named input port.
   void set_port(const std::string& name, u128 value);

@@ -57,6 +57,17 @@ TEST(LevelSim, ReadBusWiderThan128Throws) {
   EXPECT_NO_THROW(sim.read_bus(head));
 }
 
+TEST(LevelSim, SetBusWiderThan128Throws) {
+  Circuit c;
+  const Bus a = c.input_bus("a", 130);
+  c.output_bus("o", a);
+  LevelSim sim(c);
+  // Bits from index 128 up have no source in a u128 value.
+  EXPECT_THROW(sim.set_bus(a, 0), std::invalid_argument);
+  const Bus head(a.begin(), a.begin() + 128);
+  EXPECT_NO_THROW(sim.set_bus(head, ~static_cast<u128>(0)));
+}
+
 TEST(LevelSim, DffShiftsRegisterChain) {
   Circuit c;
   const NetId d = c.input("d");

@@ -313,6 +313,18 @@ TEST(EventSimGuards, ReadBusWiderThan128Throws) {
   EXPECT_NO_THROW(sim.read_bus(unit.p));
 }
 
+TEST(EventSimGuards, SetBusWiderThan128Throws) {
+  mult::MultiplierOptions o;
+  o.n = 16;
+  o.g = 2;
+  const auto unit = mult::build_multiplier(o);
+  netlist::EventSim sim(*unit.circuit, netlist::TechLib::lp45());
+  // Bits from index 128 up have no source in a u128 value.
+  netlist::Bus wide(129, unit.x.front());
+  EXPECT_THROW(sim.set_bus(wide, 0), std::invalid_argument);
+  EXPECT_NO_THROW(sim.set_bus(unit.x, 0xBEEF));
+}
+
 TEST(ActivityCounts, MergeIsAdditiveAndSizeChecked) {
   netlist::ActivityCounts a, b;
   a.toggles = {1, 2, 3};
@@ -348,13 +360,13 @@ TEST(ActivityCounts, FunctionalSplitSurvivesMergeOnlyWhenBothSidesCarryIt) {
   EXPECT_EQ(a.total_functional(), 5u);
   EXPECT_EQ(a.total_glitch(), 12u - 5u);
 
-  // Merging in a lumped-only contribution degrades the split: a partial
-  // functional vector would silently misreport glitch energy.
+  // Merging a lumped-only contribution into split counts (or the reverse)
+  // throws: a partial functional vector would misreport glitch energy.
   netlist::ActivityCounts lumped;
   lumped.toggles = {10, 10};
-  a.merge(lumped);
-  EXPECT_FALSE(a.has_split());
-  EXPECT_EQ(a.total_glitch(), 0u);
+  EXPECT_THROW(a.merge(lumped), std::invalid_argument);
+  EXPECT_THROW(lumped.merge(a), std::invalid_argument);
+  EXPECT_EQ(a.functional, (std::vector<std::uint64_t>{3, 2}));
 
   // Merging split counts into a fresh accumulator adopts the split.
   netlist::ActivityCounts fresh;
