@@ -45,11 +45,10 @@ std::string format_kind_histogram(const Circuit& c);
 /// \n, \t, and \uXXXX for the remaining control characters).
 void json_escape_into(std::string& out, std::string_view s);
 
-/// Shared output sink for the CLI report tools (mfm_lint, mfm_faults,
-/// mfm_sweep, mfm_opt).  Owns the --out=FILE destination, the
-/// {"units":[...]} JSON framing with comma separation, and the trailing
-/// summary fields, so every tool emits the same envelope and handles an
-/// unwritable output file the same way.
+/// Shared output sink for the six mfm_* CLI tools.  Owns the --out=FILE
+/// destination, the {"units":[...]} JSON framing with comma separation,
+/// and the trailing summary fields, so every tool emits the same
+/// envelope and handles an unwritable output file the same way.
 class ReportSink {
  public:
   /// Opens @p path for writing; "" or "-" selects stdout.  On open

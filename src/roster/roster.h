@@ -44,9 +44,10 @@
 // records the message as that job's error, and still emits every other
 // job's report post-barrier in catalog order, plus a rendered
 // {"unit":...,"error":...} record (or "<name>: ERROR: ..." in text
-// mode) in the failed job's slot.  Tools inspect failed_jobs() after
-// run() and exit nonzero naming the failed unit(s), so --out=FILE
-// always holds the 16 good reports even when the 17th job dies.
+// mode) in the failed job's slot.  run() returns only the jobs that
+// finished, so no tool aggregates a failed job's result, and tools exit
+// nonzero naming failed_jobs(), so --out=FILE always holds the 16 good
+// reports even when the 17th job dies.
 #pragma once
 
 #include <atomic>
@@ -54,6 +55,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -193,6 +195,13 @@ std::string render_job_error(const std::string& job_name,
 /// the real tools (CI's forced-throw gate).
 const char* injected_failure_needle();
 
+/// A job whose body returned, with the body's result.
+template <typename Result>
+struct Completed {
+  const RosterJob* job = nullptr;
+  Result result;
+};
+
 /// Plans the (filtered) jobs, fans them over @p threads workers, and
 /// emits each result's `rendered` string to the sink in catalog order.
 class RosterDriver {
@@ -207,22 +216,20 @@ class RosterDriver {
   UnitCache& cache() { return cache_; }
 
   /// Runs fn over every planned job.  Result must expose a std::string
-  /// member `rendered` (the per-unit report); results are returned in
-  /// catalog order for tool-specific aggregation (failure counts,
-  /// summary tables, float sums -- summed in this order so even the
-  /// floating-point totals are thread-count-independent).
+  /// member `rendered` (the per-unit report).  The jobs that finished
+  /// are returned in catalog order for tool-specific aggregation
+  /// (failure counts, summary tables, float sums -- summed in this order
+  /// so even the floating-point totals are thread-count-independent).
   ///
   /// Fail-soft: a throwing job body is caught here, inside the worker
   /// lambda -- never propagated into parallel_for, whose drain-on-error
   /// path would abandon the not-yet-claimed jobs and discard every
-  /// buffered report (see common/parallel.h).  The failed job's slot in
-  /// the returned vector stays default-constructed; its sink record is
-  /// a rendered error entry, and its message is retained in
-  /// job_errors().  Aggregation loops must skip indices with a
-  /// non-empty error.
+  /// buffered report (see common/parallel.h).  The failed job is left
+  /// out of the returned vector; its sink record is a rendered error
+  /// entry, and its message is retained in job_errors().
   template <typename Result, typename Fn>
-  std::vector<Result> run(netlist::ReportSink& sink, Fn&& fn) {
-    std::vector<Result> results(jobs_.size());
+  std::vector<Completed<Result>> run(netlist::ReportSink& sink, Fn&& fn) {
+    std::vector<std::optional<Result>> results(jobs_.size());
     errors_.assign(jobs_.size(), std::string());
     const std::string fail_needle = injected_failure_needle();
     common::parallel_for(
@@ -245,11 +252,16 @@ class RosterDriver {
             errors_[static_cast<std::size_t>(i)] = "unknown exception";
           }
         });
-    for (std::size_t i = 0; i < results.size(); ++i)
-      sink.unit(errors_[i].empty()
-                    ? results[i].rendered
-                    : render_job_error(jobs_[i].name, errors_[i], json_));
-    return results;
+    std::vector<Completed<Result>> done;
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      if (!results[i]) {
+        sink.unit(render_job_error(jobs_[i].name, errors_[i], json_));
+        continue;
+      }
+      sink.unit(results[i]->rendered);
+      done.push_back({&jobs_[i], std::move(*results[i])});
+    }
+    return done;
   }
 
   /// Per-job error messages from the last run() ("" = job succeeded),

@@ -3,6 +3,9 @@
 // must be caught.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "mult/fp_multiplier.h"
 #include "mult/multiplier.h"
 #include "netlist/equiv.h"
@@ -147,6 +150,60 @@ TEST(Equivalence, DisjointOutputPortsAreNotEquivalent) {
   EXPECT_FALSE(r3.equivalent);
   EXPECT_NE(r3.counterexample.find("output port mismatch: p"),
             std::string::npos);
+}
+
+// The sequential cosimulation shares the port-agreement rules: a missing
+// input port, an output port missing on either side, and a width
+// mismatch are each a non-equivalence naming the port, and a pin that is
+// not a primary-input bit of lhs is a caller error.
+TEST(EquivalenceCosim, RejectsMismatchedPortsAndBadPins) {
+  const auto reg = [](Circuit& c, const char* in, const char* out,
+                      int width) {
+    const Bus d = c.input_bus(in, width);
+    Bus q;
+    for (const NetId n : d) q.push_back(c.dff(n));
+    c.output_bus(out, q);
+  };
+  Circuit base, other_in, other_out, wide, extra;
+  reg(base, "d", "q", 2);
+  reg(other_in, "e", "q", 2);
+  reg(other_out, "d", "r", 2);
+  reg(wide, "d", "q", 3);
+  reg(extra, "d", "q", 2);
+  extra.output("x", extra.input("d2"));
+
+  const auto expect_mismatch = [&](const Circuit& lhs, const Circuit& rhs,
+                                   const std::string& want) {
+    const EquivResult r = check_equivalence_cosim(lhs, rhs, {}, 64);
+    EXPECT_FALSE(r.equivalent) << want;
+    EXPECT_EQ(r.counterexample, want);
+    EXPECT_EQ(r.vectors, 0u);
+  };
+  expect_mismatch(base, other_in, "input port mismatch: d");
+  expect_mismatch(base, other_out, "output port mismatch: q");
+  expect_mismatch(base, extra, "output port mismatch: x");  // rhs-only
+  expect_mismatch(base, wide, "input port mismatch: d");
+  Circuit wide_out;
+  {
+    const Bus d = wide_out.input_bus("d", 2);
+    wide_out.output_bus("q", Bus{wide_out.dff(d[0])});
+  }
+  expect_mismatch(base, wide_out, "output port mismatch: q");
+
+  const EquivResult same = check_equivalence_cosim(base, base, {}, 512);
+  EXPECT_TRUE(same.equivalent) << same.counterexample;
+
+  const NetId q0 = base.out_port("q")[0];  // a flop, not an input
+  EXPECT_THROW(check_equivalence_cosim(base, base, {TernaryPin{q0, true}}, 64),
+               std::invalid_argument);
+  const NetId past_end = static_cast<NetId>(base.size());
+  EXPECT_THROW(
+      check_equivalence_cosim(base, base, {TernaryPin{past_end, false}}, 64),
+      std::invalid_argument);
+  const NetId d1 = base.in_port("d")[1];
+  EXPECT_TRUE(
+      check_equivalence_cosim(base, base, {TernaryPin{d1, true}}, 64)
+          .equivalent);
 }
 
 }  // namespace

@@ -237,17 +237,18 @@ TEST(RosterDriver, FailSoftKeepsSiblingReportsAndRecordsTheError) {
                         "mult8,fpadd-b32,reduce64to32", /*threads=*/2,
                         /*json=*/true);
     ASSERT_EQ(driver.jobs().size(), 3u);
-    const std::vector<Result> results =
+    const auto results =
         driver.run<Result>(sink, [](const JobContext& ctx) {
           return Result{"{\"unit\":\"" + ctx.job.name + "\",\"ok\":true}"};
         });
     ASSERT_TRUE(sink.finish());
 
-    // The failed slot stays default-constructed; siblings are intact.
-    ASSERT_EQ(results.size(), 3u);
-    EXPECT_FALSE(results[0].rendered.empty());
-    EXPECT_TRUE(results[1].rendered.empty());
-    EXPECT_FALSE(results[2].rendered.empty());
+    // The failed job returns no result; siblings are intact, in order.
+    ASSERT_EQ(results.size(), 2u);
+    EXPECT_EQ(results[0].job->name, "mult8");
+    EXPECT_EQ(results[1].job->name, "reduce64to32");
+    EXPECT_FALSE(results[0].result.rendered.empty());
+    EXPECT_FALSE(results[1].result.rendered.empty());
     ASSERT_EQ(driver.job_errors().size(), 3u);
     EXPECT_TRUE(driver.job_errors()[0].empty());
     EXPECT_NE(driver.job_errors()[1].find("injected failure"),
@@ -281,10 +282,10 @@ TEST(RosterDriver, FailSoftSurvivesEveryJobThrowing) {
     RosterDriver driver(BuildMode::kPipelined, "mf", /*threads=*/4,
                         /*json=*/false);
     ASSERT_EQ(driver.jobs().size(), 10u);
-    driver.run<Result>(sink, [](const JobContext& ctx) {
-      return Result{ctx.job.name};
-    });
+    const auto results = driver.run<Result>(
+        sink, [](const JobContext& ctx) { return Result{ctx.job.name}; });
     sink.finish();
+    EXPECT_TRUE(results.empty());
     EXPECT_EQ(driver.failed_jobs().size(), 10u);
   }
   unsetenv("MFM_ROSTER_FAIL");

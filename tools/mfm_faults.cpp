@@ -28,7 +28,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -39,6 +38,7 @@
 
 namespace {
 
+using mfm::cli::flag;
 using mfm::netlist::FaultCampaignOptions;
 using mfm::netlist::FaultCampaignReport;
 using mfm::netlist::FaultSite;
@@ -46,6 +46,7 @@ using mfm::netlist::FaultVectors;
 
 struct CliOptions {
   mfm::cli::CommonOptions common;
+  std::uint64_t seed = 0xFA;
   bool transient = false;
   int vectors = 64;
   double fail_under = -1.0;  // <0: no gate
@@ -57,52 +58,17 @@ struct JobResult {
   double coverage = 0.0;
 };
 
-int usage() {
-  std::fprintf(stderr,
-               "usage: mfm_faults %s [--vectors=N] [--fail-under=PCT] "
-               "[--transient]\n",
-               mfm::cli::common_usage(/*with_seed=*/true));
-  return 2;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   CliOptions cli;
-  cli.common.seed = 0xFA;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    switch (mfm::cli::parse_common("mfm_faults", arg, cli.common)) {
-      case mfm::cli::ParseStatus::kMatched: continue;
-      case mfm::cli::ParseStatus::kError: return 2;
-      case mfm::cli::ParseStatus::kNoMatch: break;
-    }
-    if (arg == "--transient") {
-      cli.transient = true;
-    } else if (arg.rfind("--vectors=", 0) == 0) {
-      long v = 0;
-      if (!mfm::cli::parse_long(arg.c_str() + 10, v) || v < 2 ||
-          v > 1'000'000) {
-        std::fprintf(stderr,
-                     "mfm_faults: bad --vectors value '%s' (need an integer "
-                     ">= 2)\n",
-                     arg.c_str() + 10);
-        return 2;
-      }
-      cli.vectors = static_cast<int>(v);
-    } else if (arg.rfind("--fail-under=", 0) == 0) {
-      if (!mfm::cli::parse_double(arg.c_str() + 13, cli.fail_under) ||
-          cli.fail_under < 0.0 || cli.fail_under > 100.0) {
-        std::fprintf(stderr,
-                     "mfm_faults: bad --fail-under value '%s' (need a "
-                     "percentage in [0, 100])\n",
-                     arg.c_str() + 13);
-        return 2;
-      }
-    } else {
-      return usage();
-    }
-  }
+  const auto flags = mfm::cli::table(
+      cli.common,
+      {flag("--seed", "S", cli.seed),
+       flag("--vectors", "N", cli.vectors, 2, 1'000'000),
+       flag("--fail-under", "PCT", cli.fail_under, 0.0, 100.0),
+       flag("--transient", cli.transient)});
+  if (!mfm::cli::parse("mfm_faults", flags, argc, argv)) return 2;
 
   mfm::netlist::ReportSink sink("mfm_faults", cli.common.json, cli.common.out);
   if (!sink.ok()) return 2;
@@ -110,7 +76,7 @@ int main(int argc, char** argv) {
   mfm::roster::RosterDriver driver(mfm::roster::BuildMode::kPipelined,
                                    cli.common.only, cli.common.threads,
                                    cli.common.json);
-  const std::vector<JobResult> results = driver.run<JobResult>(
+  const auto results = driver.run<JobResult>(
       sink, [&cli](const mfm::roster::JobContext& ctx) {
         const mfm::netlist::Circuit& c = *ctx.unit.circuit;
         std::vector<FaultSite> sites = mfm::netlist::enumerate_stuck_faults(c);
@@ -119,7 +85,7 @@ int main(int argc, char** argv) {
           sites.insert(sites.end(), flips.begin(), flips.end());
         }
         const FaultVectors vectors(c, static_cast<std::size_t>(cli.vectors),
-                                   cli.common.seed, ctx.variant.pins);
+                                   cli.seed, ctx.variant.pins);
         FaultCampaignOptions opt;
         opt.cycles = ctx.unit.latency_cycles;
         const FaultCampaignReport rep =
@@ -132,43 +98,21 @@ int main(int argc, char** argv) {
         return r;
       });
 
-  const std::vector<std::string> errored = driver.failed_jobs();
-  int failures = 0;
-  std::ostringstream summary;
-  if (!results.empty()) {
-    summary << "stuck-at coverage by unit (" << cli.vectors
-            << " vectors/fault):\n";
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      const std::string& name = driver.jobs()[i].name;
-      if (!driver.job_errors()[i].empty()) continue;  // fail-soft error entry
-      if (results[i].failed) {
-        ++failures;
-        std::fprintf(stderr,
-                     "mfm_faults: %s coverage %.2f%% below gate %.2f%%\n",
-                     name.c_str(), results[i].coverage, cli.fail_under);
-      }
-      char line[64];
-      std::snprintf(line, sizeof line, "  %-18s %6.2f%%\n", name.c_str(),
-                    results[i].coverage);
-      summary << line;
+  mfm::cli::Summary summary;
+  if (!driver.jobs().empty())
+    summary.text = "stuck-at coverage by unit (" +
+                   std::to_string(cli.vectors) + " vectors/fault):\n";
+  for (const auto& [job, r] : results) {
+    char line[96];
+    if (r.failed) {
+      std::snprintf(line, sizeof line, "%s coverage %.2f%% below gate %.2f%%",
+                    job->name.c_str(), r.coverage, cli.fail_under);
+      summary.failures.push_back(line);
     }
+    std::snprintf(line, sizeof line, "  %-18s %6.2f%%\n", job->name.c_str(),
+                  r.coverage);
+    summary.text += line;
   }
-
-  if (!sink.finish("\"failures\":" + std::to_string(failures) +
-                       ",\"errors\":" + std::to_string(errored.size()),
-                   summary.str()))
-    return 2;
-  if (!errored.empty()) {
-    std::fprintf(stderr, "mfm_faults: %zu job(s) failed:", errored.size());
-    for (const std::string& name : errored)
-      std::fprintf(stderr, " %s", name.c_str());
-    std::fprintf(stderr, "\n");
-    return 1;
-  }
-  if (failures > 0) {
-    std::fprintf(stderr, "mfm_faults: %d unit(s) below the coverage gate\n",
-                 failures);
-    return 1;
-  }
-  return 0;
+  summary.json = "\"failures\":" + std::to_string(summary.failures.size());
+  return mfm::cli::finish("mfm_faults", sink, driver, summary);
 }

@@ -45,6 +45,7 @@
 
 namespace {
 
+using mfm::cli::flag;
 using mfm::common::splitmix64;
 using mfm::netlist::GlitchCrossCheck;
 using mfm::netlist::GlitchOptions;
@@ -54,6 +55,7 @@ using mfm::netlist::TechLib;
 
 struct CliOptions {
   mfm::cli::CommonOptions common;
+  std::uint64_t seed = 0x911C;
   int vectors = 64;
   int top = 20;
   double min_overlap = 0.0;   ///< accept-all default; CI passes a gate
@@ -66,14 +68,6 @@ struct JobResult {
   double overlap_frac = 0.0;
   double rank_corr = 0.0;
 };
-
-int usage() {
-  std::fprintf(stderr,
-               "usage: mfm_glitch %s [--vectors=N] [--top=K] "
-               "[--min-overlap=F] [--min-corr=F]\n",
-               mfm::cli::common_usage(/*with_seed=*/true));
-  return 2;
-}
 
 /// Both analyses plus the cross-validation, as one roster job body.
 JobResult analyze_unit(const CliOptions& cli,
@@ -89,8 +83,8 @@ JobResult analyze_unit(const CliOptions& cli,
   // Seed is a pure function of (--seed, spec, variant): --only filtering
   // must not shift any unit's operand stream.
   const std::uint64_t seed = splitmix64(
-      cli.common.seed ^ ((static_cast<std::uint64_t>(ctx.job.spec) << 8) |
-                         static_cast<std::uint64_t>(ctx.job.variant)));
+      cli.seed ^ ((static_cast<std::uint64_t>(ctx.job.spec) << 8) |
+                  static_cast<std::uint64_t>(ctx.job.variant)));
   const MeasuredGlitch meas =
       measure_glitch(cc, lib, ctx.variant.pins, cli.vectors, seed);
 
@@ -153,56 +147,13 @@ JobResult analyze_unit(const CliOptions& cli,
 
 int main(int argc, char** argv) {
   CliOptions cli;
-  cli.common.seed = 0x911C;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    switch (mfm::cli::parse_common("mfm_glitch", arg, cli.common)) {
-      case mfm::cli::ParseStatus::kMatched: continue;
-      case mfm::cli::ParseStatus::kError: return 2;
-      case mfm::cli::ParseStatus::kNoMatch: break;
-    }
-    if (arg.rfind("--vectors=", 0) == 0) {
-      long v = 0;
-      if (!mfm::cli::parse_long(arg.c_str() + 10, v) || v < 1 || v > 100'000) {
-        std::fprintf(stderr,
-                     "mfm_glitch: bad --vectors value '%s' (need an integer "
-                     "in [1, 100000])\n",
-                     arg.c_str() + 10);
-        return 2;
-      }
-      cli.vectors = static_cast<int>(v);
-    } else if (arg.rfind("--top=", 0) == 0) {
-      long v = 0;
-      if (!mfm::cli::parse_long(arg.c_str() + 6, v) || v < 1 || v > 10'000) {
-        std::fprintf(stderr,
-                     "mfm_glitch: bad --top value '%s' (need an integer in "
-                     "[1, 10000])\n",
-                     arg.c_str() + 6);
-        return 2;
-      }
-      cli.top = static_cast<int>(v);
-    } else if (arg.rfind("--min-overlap=", 0) == 0) {
-      if (!mfm::cli::parse_double(arg.c_str() + 14, cli.min_overlap) ||
-          cli.min_overlap < 0.0 || cli.min_overlap > 1.0) {
-        std::fprintf(stderr,
-                     "mfm_glitch: bad --min-overlap value '%s' (need a "
-                     "number in [0, 1])\n",
-                     arg.c_str() + 14);
-        return 2;
-      }
-    } else if (arg.rfind("--min-corr=", 0) == 0) {
-      if (!mfm::cli::parse_double(arg.c_str() + 11, cli.min_corr) ||
-          cli.min_corr < -1.0 || cli.min_corr > 1.0) {
-        std::fprintf(stderr,
-                     "mfm_glitch: bad --min-corr value '%s' (need a number "
-                     "in [-1, 1])\n",
-                     arg.c_str() + 11);
-        return 2;
-      }
-    } else {
-      return usage();
-    }
-  }
+  const auto flags = mfm::cli::table(
+      cli.common, {flag("--seed", "S", cli.seed),
+                   flag("--vectors", "N", cli.vectors, 1, 100'000),
+                   flag("--top", "K", cli.top, 1, 10'000),
+                   flag("--min-overlap", "F", cli.min_overlap, 0.0, 1.0),
+                   flag("--min-corr", "F", cli.min_corr, -1.0, 1.0)});
+  if (!mfm::cli::parse("mfm_glitch", flags, argc, argv)) return 2;
 
   mfm::netlist::ReportSink sink("mfm_glitch", cli.common.json, cli.common.out);
   if (!sink.ok()) return 2;
@@ -210,44 +161,25 @@ int main(int argc, char** argv) {
   mfm::roster::RosterDriver driver(mfm::roster::BuildMode::kPipelined,
                                    cli.common.only, cli.common.threads,
                                    cli.common.json);
-  const std::vector<JobResult> results = driver.run<JobResult>(
+  const auto results = driver.run<JobResult>(
       sink,
       [&cli](const mfm::roster::JobContext& ctx) {
         return analyze_unit(cli, ctx);
       });
 
-  const std::vector<std::string> errored = driver.failed_jobs();
-  int gate_failures = 0;
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    if (!driver.job_errors()[i].empty()) continue;  // fail-soft error entry
-    if (results[i].gate_failed) {
-      ++gate_failures;
-      std::fprintf(stderr,
-                   "mfm_glitch: %s: cross-validation FAILED (overlap %.2f < "
-                   "%.2f and spearman %.3f < %.3f)\n",
-                   driver.jobs()[i].name.c_str(), results[i].overlap_frac,
-                   cli.min_overlap, results[i].rank_corr, cli.min_corr);
-    }
+  mfm::cli::Summary summary;
+  for (const auto& [job, r] : results) {
+    if (!r.gate_failed) continue;
+    char line[160];
+    std::snprintf(line, sizeof line,
+                  "%s: cross-validation FAILED (overlap %.2f < %.2f and "
+                  "spearman %.3f < %.3f)",
+                  job->name.c_str(), r.overlap_frac, cli.min_overlap,
+                  r.rank_corr, cli.min_corr);
+    summary.failures.push_back(line);
   }
-
-  if (!sink.finish("\"gate_failures\":" + std::to_string(gate_failures) +
-                       ",\"errors\":" + std::to_string(errored.size()),
-                   "cross-validation failures: " +
-                       std::to_string(gate_failures) + "\n"))
-    return 2;
-  if (!errored.empty()) {
-    std::fprintf(stderr, "mfm_glitch: %zu job(s) failed:", errored.size());
-    for (const std::string& name : errored)
-      std::fprintf(stderr, " %s", name.c_str());
-    std::fprintf(stderr, "\n");
-    return 1;
-  }
-  if (gate_failures > 0) {
-    std::fprintf(stderr,
-                 "mfm_glitch: %d unit(s) failed the static-vs-measured "
-                 "cross-validation gate\n",
-                 gate_failures);
-    return 1;
-  }
-  return 0;
+  const std::string failed = std::to_string(summary.failures.size());
+  summary.json = "\"gate_failures\":" + failed;
+  summary.text = "cross-validation failures: " + failed + "\n";
+  return mfm::cli::finish("mfm_glitch", sink, driver, summary);
 }

@@ -22,7 +22,6 @@
 // --fail-on severity (default: error), so CI can gate on it.
 
 #include <cstdio>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -33,6 +32,7 @@
 
 namespace {
 
+using mfm::cli::flag;
 using mfm::netlist::LintOptions;
 using mfm::netlist::LintReport;
 using mfm::netlist::LintSeverity;
@@ -52,45 +52,17 @@ struct JobResult {
   std::size_t active_gates = 0;
 };
 
-int usage() {
-  std::fprintf(stderr,
-               "usage: mfm_lint %s [--fail-on=error|warning] "
-               "[--fanout-threshold=N]\n",
-               mfm::cli::common_usage(/*with_seed=*/false));
-  return 2;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   CliOptions cli;
-  cli.common.accept_seed = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    switch (mfm::cli::parse_common("mfm_lint", arg, cli.common)) {
-      case mfm::cli::ParseStatus::kMatched: continue;
-      case mfm::cli::ParseStatus::kError: return 2;
-      case mfm::cli::ParseStatus::kNoMatch: break;
-    }
-    if (arg == "--fail-on=error") {
-      cli.fail_on = LintSeverity::kError;
-    } else if (arg == "--fail-on=warning") {
-      cli.fail_on = LintSeverity::kWarning;
-    } else if (arg.rfind("--fanout-threshold=", 0) == 0) {
-      long v = 0;
-      if (!mfm::cli::parse_long(arg.c_str() + 19, v) || v < 0 ||
-          v > 1'000'000) {
-        std::fprintf(stderr,
-                     "mfm_lint: bad --fanout-threshold value '%s' (need an "
-                     "integer in [0, 1000000])\n",
-                     arg.c_str() + 19);
-        return 2;
-      }
-      cli.fanout_threshold = static_cast<int>(v);
-    } else {
-      return usage();
-    }
-  }
+  const auto flags = mfm::cli::table(
+      cli.common, {flag("--fail-on", cli.fail_on,
+                        {{"error", LintSeverity::kError},
+                         {"warning", LintSeverity::kWarning}}),
+                   flag("--fanout-threshold", "N", cli.fanout_threshold, 0,
+                        1'000'000)});
+  if (!mfm::cli::parse("mfm_lint", flags, argc, argv)) return 2;
 
   mfm::netlist::ReportSink sink("mfm_lint", cli.common.json, cli.common.out);
   if (!sink.ok()) return 2;
@@ -98,7 +70,7 @@ int main(int argc, char** argv) {
   mfm::roster::RosterDriver driver(mfm::roster::BuildMode::kPipelined,
                                    cli.common.only, cli.common.threads,
                                    cli.common.json);
-  const std::vector<JobResult> results = driver.run<JobResult>(
+  const auto results = driver.run<JobResult>(
       sink, [&cli](const mfm::roster::JobContext& ctx) {
         LintOptions opt;
         opt.pins = ctx.variant.pins;
@@ -116,41 +88,22 @@ int main(int argc, char** argv) {
         return r;
       });
 
-  const std::vector<std::string> errored = driver.failed_jobs();
-  int failures = 0;
-  std::ostringstream summary;
-  bool any_active = false;
-  for (const JobResult& r : results) any_active |= r.has_active;
-  if (any_active)
-    // Table V, structurally: gates that can toggle under each format pin.
-    summary << "active combinational gates by format:\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    if (!driver.job_errors()[i].empty()) continue;  // fail-soft error entry
-    if (results[i].failed) ++failures;
-    if (results[i].has_active) {
+  mfm::cli::Summary summary;
+  for (const auto& [job, r] : results) {
+    if (r.failed)
+      summary.failures.push_back(
+          job->name + ": findings at " +
+          std::string(lint_severity_name(cli.fail_on)) + "+");
+    if (r.has_active) {
       char line[64];
-      std::snprintf(line, sizeof line, "  %-18s %zu\n",
-                    driver.jobs()[i].name.c_str(), results[i].active_gates);
-      summary << line;
+      std::snprintf(line, sizeof line, "  %-18s %zu\n", job->name.c_str(),
+                    r.active_gates);
+      summary.text += line;
     }
   }
-
-  if (!sink.finish("\"failures\":" + std::to_string(failures) +
-                       ",\"errors\":" + std::to_string(errored.size()),
-                   summary.str()))
-    return 2;
-  if (!errored.empty()) {
-    std::fprintf(stderr, "mfm_lint: %zu job(s) failed:", errored.size());
-    for (const std::string& name : errored)
-      std::fprintf(stderr, " %s", name.c_str());
-    std::fprintf(stderr, "\n");
-    return 1;
-  }
-  if (failures > 0) {
-    std::fprintf(stderr, "mfm_lint: %d unit report(s) with findings at %s+\n",
-                 failures,
-                 std::string(lint_severity_name(cli.fail_on)).c_str());
-    return 1;
-  }
-  return 0;
+  if (!summary.text.empty())
+    // Table V, structurally: gates that can toggle under each format pin.
+    summary.text.insert(0, "active combinational gates by format:\n");
+  summary.json = "\"failures\":" + std::to_string(summary.failures.size());
+  return mfm::cli::finish("mfm_lint", sink, driver, summary);
 }

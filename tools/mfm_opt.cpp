@@ -3,8 +3,7 @@
 // -- the lint stack turned into a small synthesis flow.
 //
 //   mfm_opt [--json] [--only=LIST] [--seed=S] [--verify-vectors=N]
-//           [--rounds=N] [--no-sweep] [--min-area-saved=X] [--out=FILE]
-//           [--threads=N]
+//           [--rounds=N] [--min-area-saved=X] [--out=FILE] [--threads=N]
 //
 // The unit set is the shared catalog: the 8x8 radix-16 teaching
 // multiplier, the radix-4 and radix-16 64-bit multipliers, the
@@ -30,9 +29,9 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "cli_util.h"
@@ -45,18 +44,18 @@
 
 namespace {
 
+using mfm::cli::flag;
 using mfm::netlist::Circuit;
 using mfm::netlist::EquivResult;
 using mfm::netlist::RewriteOptions;
 using mfm::netlist::RewriteReport;
 using mfm::netlist::RewriteResult;
 using mfm::netlist::SweepOptions;
-using mfm::netlist::SweepResult;
 using mfm::netlist::TechLib;
 
 struct CliOptions {
   mfm::cli::CommonOptions common;
-  bool no_sweep = false;
+  std::uint64_t seed = 0x0B7;
   int verify_vectors = 4000;
   int rounds = 8;  // signature rounds of the sweep stages
   double min_area_saved = 0.0;
@@ -70,12 +69,17 @@ struct JobResult {
   double glitch_saved_fj = 0.0;  ///< static estimate delta [fJ/cycle]
 };
 
-int usage() {
-  std::fprintf(stderr,
-               "usage: mfm_opt %s [--verify-vectors=N] [--rounds=N] "
-               "[--no-sweep] [--min-area-saved=X]\n",
-               mfm::cli::common_usage(/*with_seed=*/true));
-  return 2;
+/// One sweep stage (mode-specialized under @p pins) with its own
+/// stage verification off.
+std::unique_ptr<Circuit> sweep_stage(
+    const Circuit& c, const std::vector<mfm::netlist::TernaryPin>& pins,
+    int rounds, std::uint64_t seed, const TechLib& lib) {
+  SweepOptions so;
+  so.pins = pins;
+  so.signature_rounds = rounds;
+  so.seed = seed;
+  so.verify = false;
+  return sweep_circuit(c, so, lib).circuit;
 }
 
 /// The whole sweep -> rewrite -> sweep pipeline plus the end-to-end
@@ -88,60 +92,39 @@ JobResult optimize_unit(const CliOptions& cli,
 
   // Stage verification is off: the pipeline ends with one end-to-end
   // proof against the original, which is what CI gates on.
-  const Circuit* cur = &c;
-  std::unique_ptr<Circuit> stage;
-  if (!cli.no_sweep) {
-    SweepOptions so;
-    so.pins = pins;
-    so.signature_rounds = cli.rounds;
-    so.seed = cli.common.seed;
-    so.verify = false;
-    SweepResult sr = sweep_circuit(*cur, so, lib);
-    stage = std::move(sr.circuit);
-    cur = stage.get();
-  }
+  std::unique_ptr<Circuit> out =
+      sweep_stage(c, pins, cli.rounds, cli.seed, lib);
 
   RewriteOptions ro;
   ro.pins = pins;
-  ro.seed = cli.common.seed;
+  ro.seed = cli.seed;
   ro.verify = false;
-  RewriteResult rr = optimize_circuit(*cur, ro, lib);
-  stage = std::move(rr.circuit);
-  cur = stage.get();
+  const RewriteResult rr = optimize_circuit(*out, ro, lib);
 
-  if (!cli.no_sweep) {
-    // The rewrite can expose new merges (e.g. a fused cell duplicating
-    // an existing one); sweep again over the rewritten netlist.
-    SweepOptions so;
-    so.pins = pins;
-    so.signature_rounds = cli.rounds;
-    so.seed = cli.common.seed ^ 0x90;
-    so.verify = false;
-    SweepResult sr = sweep_circuit(*cur, so, lib);
-    stage = std::move(sr.circuit);
-    cur = stage.get();
-  }
+  // The rewrite can expose new merges (e.g. a fused cell duplicating
+  // an existing one); sweep again over the rewritten netlist.
+  out = sweep_stage(*rr.circuit, pins, cli.rounds, cli.seed ^ 0x90, lib);
 
   const EquivResult eq =
       c.flops().empty()
-          ? check_equivalence(c, *cur, pins, cli.verify_vectors,
-                              cli.common.seed ^ 0xE2E)
-          : check_equivalence_cosim(c, *cur, pins, cli.verify_vectors,
-                                    cli.common.seed ^ 0xE2E);
+          ? check_equivalence(c, *out, pins, cli.verify_vectors,
+                              cli.seed ^ 0xE2E)
+          : check_equivalence_cosim(c, *out, pins, cli.verify_vectors,
+                                    cli.seed ^ 0xE2E);
 
   // One report for the whole pipeline: end-to-end gate/area deltas,
   // rule breakdown from the rewrite stage, end-to-end proof result.
   RewriteReport rep = rr.report;
   rep.gates_before = mfm::netlist::gate_count(c);
   rep.area_before_nand2 = total_area_nand2(c, lib);
-  rep.gates_after = mfm::netlist::gate_count(*cur);
-  rep.area_after_nand2 = total_area_nand2(*cur, lib);
+  rep.gates_after = mfm::netlist::gate_count(*out);
+  rep.area_after_nand2 = total_area_nand2(*out, lib);
   // End-to-end static glitch-energy delta (the rewrite stage's numbers
   // would miss what the sweeps removed).
   rep.glitch_ran = true;
   rep.glitch_before_fj = mfm::netlist::static_glitch_energy_fj(c, lib, pins);
   rep.glitch_after_fj =
-      mfm::netlist::static_glitch_energy_fj(*cur, lib, pins);
+      mfm::netlist::static_glitch_energy_fj(*out, lib, pins);
   rep.verify_ran = true;
   rep.verified = eq.equivalent;
   rep.verify_vectors = eq.vectors;
@@ -161,50 +144,14 @@ JobResult optimize_unit(const CliOptions& cli,
 
 int main(int argc, char** argv) {
   CliOptions cli;
-  cli.common.seed = 0x0B7;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    switch (mfm::cli::parse_common("mfm_opt", arg, cli.common)) {
-      case mfm::cli::ParseStatus::kMatched: continue;
-      case mfm::cli::ParseStatus::kError: return 2;
-      case mfm::cli::ParseStatus::kNoMatch: break;
-    }
-    if (arg == "--no-sweep") {
-      cli.no_sweep = true;
-    } else if (arg.rfind("--verify-vectors=", 0) == 0) {
-      long v = 0;
-      if (!mfm::cli::parse_long(arg.c_str() + 17, v) || v < 2 ||
-          v > 1'000'000) {
-        std::fprintf(stderr,
-                     "mfm_opt: bad --verify-vectors value '%s' (need an "
-                     "integer >= 2)\n",
-                     arg.c_str() + 17);
-        return 2;
-      }
-      cli.verify_vectors = static_cast<int>(v);
-    } else if (arg.rfind("--rounds=", 0) == 0) {
-      long v = 0;
-      if (!mfm::cli::parse_long(arg.c_str() + 9, v) || v < 1 || v > 10'000) {
-        std::fprintf(stderr,
-                     "mfm_opt: bad --rounds value '%s' (need an integer in "
-                     "[1, 10000])\n",
-                     arg.c_str() + 9);
-        return 2;
-      }
-      cli.rounds = static_cast<int>(v);
-    } else if (arg.rfind("--min-area-saved=", 0) == 0) {
-      if (!mfm::cli::parse_double(arg.c_str() + 17, cli.min_area_saved) ||
-          cli.min_area_saved < 0.0) {
-        std::fprintf(stderr,
-                     "mfm_opt: bad --min-area-saved value '%s' (need a "
-                     "number >= 0)\n",
-                     arg.c_str() + 17);
-        return 2;
-      }
-    } else {
-      return usage();
-    }
-  }
+  const auto flags = mfm::cli::table(
+      cli.common,
+      {flag("--seed", "S", cli.seed),
+       flag("--verify-vectors", "N", cli.verify_vectors, 2, 1'000'000),
+       flag("--rounds", "N", cli.rounds, 1, 10'000),
+       flag("--min-area-saved", "X", cli.min_area_saved, 0.0,
+            std::numeric_limits<double>::infinity())});
+  if (!mfm::cli::parse("mfm_opt", flags, argc, argv)) return 2;
 
   mfm::netlist::ReportSink sink("mfm_opt", cli.common.json, cli.common.out);
   if (!sink.ok()) return 2;
@@ -212,60 +159,38 @@ int main(int argc, char** argv) {
   mfm::roster::RosterDriver driver(mfm::roster::BuildMode::kCombinational,
                                    cli.common.only, cli.common.threads,
                                    cli.common.json);
-  const std::vector<JobResult> results = driver.run<JobResult>(
+  const auto results = driver.run<JobResult>(
       sink, [&cli](const mfm::roster::JobContext& ctx) {
         return optimize_unit(cli, ctx);
       });
 
-  const std::vector<std::string> errored = driver.failed_jobs();
-  int failures = 0;
+  mfm::cli::Summary summary;
   double total_area_saved = 0.0;  // summed in catalog order: deterministic
   double total_glitch_saved = 0.0;
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    if (!driver.job_errors()[i].empty()) continue;  // fail-soft error entry
-    if (results[i].failed) {
-      ++failures;
-      std::fprintf(stderr,
-                   "mfm_opt: %s: optimized netlist FAILED the end-to-end "
-                   "equivalence proof: %s\n",
-                   driver.jobs()[i].name.c_str(), results[i].error.c_str());
-    }
-    total_area_saved += results[i].area_saved;
-    total_glitch_saved += results[i].glitch_saved_fj;
+  for (const auto& [job, r] : results) {
+    if (r.failed)
+      summary.failures.push_back(
+          job->name +
+          ": optimized netlist FAILED the end-to-end equivalence proof: " +
+          r.error);
+    total_area_saved += r.area_saved;
+    total_glitch_saved += r.glitch_saved_fj;
   }
-
   char area[64];
   std::snprintf(area, sizeof area, "%.3f", total_area_saved);
   char glitch[64];
   std::snprintf(glitch, sizeof glitch, "%.3f", total_glitch_saved);
-  if (!sink.finish(std::string("\"total_area_saved_nand2\":") + area +
-                       ",\"total_glitch_saved_fj\":" + glitch +
-                       ",\"failures\":" + std::to_string(failures) +
-                       ",\"errors\":" + std::to_string(errored.size()),
-                   std::string("total area saved: ") + area +
-                       " NAND2, glitch energy saved: " + glitch +
-                       " fJ/cycle\n"))
-    return 2;
-  if (!errored.empty()) {
-    std::fprintf(stderr, "mfm_opt: %zu job(s) failed:", errored.size());
-    for (const std::string& name : errored)
-      std::fprintf(stderr, " %s", name.c_str());
-    std::fprintf(stderr, "\n");
-    return 1;
-  }
-  if (failures > 0) {
-    std::fprintf(stderr,
-                 "mfm_opt: %d unit(s) failed the end-to-end equivalence "
-                 "proof\n",
-                 failures);
-    return 1;
-  }
+  summary.json = std::string("\"total_area_saved_nand2\":") + area +
+                 ",\"total_glitch_saved_fj\":" + glitch + ",\"failures\":" +
+                 std::to_string(summary.failures.size());
+  summary.text = std::string("total area saved: ") + area +
+                 " NAND2, glitch energy saved: " + glitch + " fJ/cycle\n";
   if (total_area_saved < cli.min_area_saved) {
-    std::fprintf(stderr,
-                 "mfm_opt: total area saved %.3f NAND2 below "
-                 "--min-area-saved=%.3f\n",
-                 total_area_saved, cli.min_area_saved);
-    return 1;
+    char line[128];
+    std::snprintf(line, sizeof line,
+                  "total area saved %.3f NAND2 below --min-area-saved=%.3f",
+                  total_area_saved, cli.min_area_saved);
+    summary.failures.push_back(line);
   }
-  return 0;
+  return mfm::cli::finish("mfm_opt", sink, driver, summary);
 }

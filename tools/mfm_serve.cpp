@@ -43,23 +43,19 @@
 
 namespace {
 
+using mfm::cli::flag;
 using mfm::serve::BatchResult;
 using mfm::serve::Op;
 using mfm::serve::Request;
 
 struct CliOptions {
   mfm::cli::CommonOptions common;
+  std::uint64_t seed = 0x5E12;
   long ops = 256;    // operand pairs per roster job
   long batch = 96;   // ops per request (not a multiple of 64: the
                      // partial-batch masking path runs on every job)
   long queue = 64;   // service queue capacity
 };
-
-int usage() {
-  std::fprintf(stderr, "usage: mfm_serve %s [--ops=N] [--batch=N] [--queue=N]\n",
-               mfm::cli::common_usage(/*with_seed=*/true));
-  return 2;
-}
 
 /// One seed per job name: the operand stream is a pure function of
 /// (--seed, job name), independent of thread count and --only filter.
@@ -73,46 +69,13 @@ std::uint64_t job_seed(std::uint64_t seed, const std::string& name) {
 
 int main(int argc, char** argv) {
   CliOptions cli;
-  cli.common.seed = 0x5E12;
   cli.common.threads = 0;  // default --threads=auto (all hardware threads)
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    switch (mfm::cli::parse_common("mfm_serve", arg, cli.common)) {
-      case mfm::cli::ParseStatus::kMatched: continue;
-      case mfm::cli::ParseStatus::kError: return 2;
-      case mfm::cli::ParseStatus::kNoMatch: break;
-    }
-    if (arg.rfind("--ops=", 0) == 0) {
-      if (!mfm::cli::parse_long(arg.c_str() + 6, cli.ops) || cli.ops < 1 ||
-          cli.ops > 10'000'000) {
-        std::fprintf(stderr,
-                     "mfm_serve: bad --ops value '%s' (need an integer in "
-                     "[1, 10000000])\n",
-                     arg.c_str() + 6);
-        return 2;
-      }
-    } else if (arg.rfind("--batch=", 0) == 0) {
-      if (!mfm::cli::parse_long(arg.c_str() + 8, cli.batch) ||
-          cli.batch < 1 || cli.batch > 1'000'000) {
-        std::fprintf(stderr,
-                     "mfm_serve: bad --batch value '%s' (need an integer in "
-                     "[1, 1000000])\n",
-                     arg.c_str() + 8);
-        return 2;
-      }
-    } else if (arg.rfind("--queue=", 0) == 0) {
-      if (!mfm::cli::parse_long(arg.c_str() + 8, cli.queue) ||
-          cli.queue < 1 || cli.queue > 1'000'000) {
-        std::fprintf(stderr,
-                     "mfm_serve: bad --queue value '%s' (need an integer in "
-                     "[1, 1000000])\n",
-                     arg.c_str() + 8);
-        return 2;
-      }
-    } else {
-      return usage();
-    }
-  }
+  const auto flags = mfm::cli::table(
+      cli.common, {flag("--seed", "S", cli.seed),
+                   flag("--ops", "N", cli.ops, 1, 10'000'000),
+                   flag("--batch", "N", cli.batch, 1, 1'000'000),
+                   flag("--queue", "N", cli.queue, 1, 1'000'000)});
+  if (!mfm::cli::parse("mfm_serve", flags, argc, argv)) return 2;
 
   mfm::netlist::ReportSink sink("mfm_serve", cli.common.json, cli.common.out);
   if (!sink.ok()) return 2;
@@ -140,7 +103,7 @@ int main(int argc, char** argv) {
     const bool has_ctrl =
         spec.name == "mf" || spec.name == "mf-reduce";
     const std::string variant = spec.variant_names[job.variant];
-    std::mt19937_64 rng(job_seed(cli.common.seed, job.name));
+    std::mt19937_64 rng(job_seed(cli.seed, job.name));
     for (long done = 0; done < cli.ops; done += cli.batch) {
       const long count = std::min(cli.batch, cli.ops - done);
       Request req;
@@ -204,16 +167,11 @@ int main(int argc, char** argv) {
   // report (stdout / --out) is byte-identical at any --threads value.
   std::fprintf(stderr, "mfm_serve: %s", stats.text().c_str());
 
-  if (!sink.finish("\"mismatches\":" + std::to_string(failed.size()) +
-                       ",\"service\":" + stats.json(/*with_rates=*/false),
-                   stats.json(/*with_rates=*/false) + "\n"))
-    return 2;
-  if (!failed.empty()) {
-    std::fprintf(stderr, "mfm_serve: %zu unit(s) failed:", failed.size());
-    for (const std::string& name : failed)
-      std::fprintf(stderr, " %s", name.c_str());
-    std::fprintf(stderr, "\n");
-    return 1;
-  }
-  return 0;
+  const std::string service_json = stats.json(/*with_rates=*/false);
+  return mfm::cli::finish(
+      "mfm_serve", sink, failed,
+      {"\"mismatches\":" + std::to_string(failed.size()) +
+           ",\"service\":" + service_json,
+       service_json + "\n",
+       {}});
 }

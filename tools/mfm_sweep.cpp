@@ -25,7 +25,7 @@
 // --min-total-removed, so CI can gate on both.
 
 #include <cstdint>
-#include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -36,11 +36,13 @@
 
 namespace {
 
+using mfm::cli::flag;
 using mfm::netlist::SweepOptions;
 using mfm::netlist::SweepResult;
 
 struct CliOptions {
   mfm::cli::CommonOptions common;
+  std::uint64_t seed = 0x5EE9;
   int rounds = 8;
   int verify_vectors = 4000;
   long min_total_removed = 0;
@@ -53,60 +55,18 @@ struct JobResult {
   std::size_t removed = 0;
 };
 
-int usage() {
-  std::fprintf(stderr,
-               "usage: mfm_sweep %s [--rounds=N] [--verify-vectors=N] "
-               "[--min-total-removed=N]\n",
-               mfm::cli::common_usage(/*with_seed=*/true));
-  return 2;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   CliOptions cli;
-  cli.common.seed = 0x5EE9;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    switch (mfm::cli::parse_common("mfm_sweep", arg, cli.common)) {
-      case mfm::cli::ParseStatus::kMatched: continue;
-      case mfm::cli::ParseStatus::kError: return 2;
-      case mfm::cli::ParseStatus::kNoMatch: break;
-    }
-    if (arg.rfind("--rounds=", 0) == 0) {
-      long v = 0;
-      if (!mfm::cli::parse_long(arg.c_str() + 9, v) || v < 1 || v > 10'000) {
-        std::fprintf(stderr,
-                     "mfm_sweep: bad --rounds value '%s' (need an integer in "
-                     "[1, 10000])\n",
-                     arg.c_str() + 9);
-        return 2;
-      }
-      cli.rounds = static_cast<int>(v);
-    } else if (arg.rfind("--verify-vectors=", 0) == 0) {
-      long v = 0;
-      if (!mfm::cli::parse_long(arg.c_str() + 17, v) || v < 2 ||
-          v > 1'000'000) {
-        std::fprintf(stderr,
-                     "mfm_sweep: bad --verify-vectors value '%s' (need an "
-                     "integer >= 2)\n",
-                     arg.c_str() + 17);
-        return 2;
-      }
-      cli.verify_vectors = static_cast<int>(v);
-    } else if (arg.rfind("--min-total-removed=", 0) == 0) {
-      if (!mfm::cli::parse_long(arg.c_str() + 20, cli.min_total_removed) ||
-          cli.min_total_removed < 0) {
-        std::fprintf(stderr,
-                     "mfm_sweep: bad --min-total-removed value '%s' (need an "
-                     "integer >= 0)\n",
-                     arg.c_str() + 20);
-        return 2;
-      }
-    } else {
-      return usage();
-    }
-  }
+  const auto flags = mfm::cli::table(
+      cli.common,
+      {flag("--seed", "S", cli.seed),
+       flag("--rounds", "N", cli.rounds, 1, 10'000),
+       flag("--verify-vectors", "N", cli.verify_vectors, 2, 1'000'000),
+       flag("--min-total-removed", "N", cli.min_total_removed, 0,
+            std::numeric_limits<long>::max())});
+  if (!mfm::cli::parse("mfm_sweep", flags, argc, argv)) return 2;
 
   mfm::netlist::ReportSink sink("mfm_sweep", cli.common.json, cli.common.out);
   if (!sink.ok()) return 2;
@@ -114,12 +74,12 @@ int main(int argc, char** argv) {
   mfm::roster::RosterDriver driver(mfm::roster::BuildMode::kCombinational,
                                    cli.common.only, cli.common.threads,
                                    cli.common.json);
-  const std::vector<JobResult> results = driver.run<JobResult>(
+  const auto results = driver.run<JobResult>(
       sink, [&cli](const mfm::roster::JobContext& ctx) {
         SweepOptions opt;
         opt.pins = ctx.variant.pins;
         opt.signature_rounds = cli.rounds;
-        opt.seed = cli.common.seed;
+        opt.seed = cli.seed;
         opt.verify_vectors = cli.verify_vectors;
         const SweepResult res = sweep_circuit(*ctx.unit.circuit, opt);
         JobResult r;
@@ -134,45 +94,21 @@ int main(int argc, char** argv) {
         return r;
       });
 
-  const std::vector<std::string> errored = driver.failed_jobs();
-  int failures = 0;
+  mfm::cli::Summary summary;
   std::size_t total_removed = 0;
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    if (!driver.job_errors()[i].empty()) continue;  // fail-soft error entry
-    if (results[i].failed) {
-      ++failures;
-      std::fprintf(stderr,
-                   "mfm_sweep: %s: merged netlist FAILED re-verification: "
-                   "%s\n",
-                   driver.jobs()[i].name.c_str(), results[i].error.c_str());
-    }
-    total_removed += results[i].removed;
+  for (const auto& [job, r] : results) {
+    if (r.failed)
+      summary.failures.push_back(
+          job->name + ": merged netlist FAILED re-verification: " + r.error);
+    total_removed += r.removed;
   }
-
-  if (!sink.finish(
-          "\"total_gates_removed\":" + std::to_string(total_removed) +
-              ",\"failures\":" + std::to_string(failures) +
-              ",\"errors\":" + std::to_string(errored.size()),
-          "total gates removed: " + std::to_string(total_removed) + "\n"))
-    return 2;
-  if (!errored.empty()) {
-    std::fprintf(stderr, "mfm_sweep: %zu job(s) failed:", errored.size());
-    for (const std::string& name : errored)
-      std::fprintf(stderr, " %s", name.c_str());
-    std::fprintf(stderr, "\n");
-    return 1;
-  }
-  if (failures > 0) {
-    std::fprintf(stderr, "mfm_sweep: %d unit(s) failed re-verification\n",
-                 failures);
-    return 1;
-  }
-  if (total_removed < static_cast<std::size_t>(cli.min_total_removed)) {
-    std::fprintf(stderr,
-                 "mfm_sweep: total gates removed %zu below "
-                 "--min-total-removed=%ld\n",
-                 total_removed, cli.min_total_removed);
-    return 1;
-  }
-  return 0;
+  const std::string total = std::to_string(total_removed);
+  summary.json = "\"total_gates_removed\":" + total +
+                 ",\"failures\":" + std::to_string(summary.failures.size());
+  summary.text = "total gates removed: " + total + "\n";
+  if (total_removed < static_cast<std::size_t>(cli.min_total_removed))
+    summary.failures.push_back("total gates removed " + total +
+                               " below --min-total-removed=" +
+                               std::to_string(cli.min_total_removed));
+  return mfm::cli::finish("mfm_sweep", sink, driver, summary);
 }
