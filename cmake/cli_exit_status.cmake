@@ -46,17 +46,13 @@ foreach(tool IN LISTS tools)
   expect_usage_error(${tool} --no-such-flag)
   expect_usage_error(${tool} --json=1)
   expect_usage_error(${tool} stray)
-  # hi+1 is left out for mfm_serve, whose service starts its workers
-  # before planning jobs: a wrongly accepted 1025 would start them all.
-  # CliCommon.ThreadsAcceptsRangeRejectsGarbage covers the shared row.
-  if(tool STREQUAL "mfm_serve")
-    expect_range(${tool} --threads 0 "")
-  else()
-    expect_range(${tool} --threads 0 1025)
-  endif()
+  # Safe on mfm_serve too: its service starts no more workers than the
+  # jobs it planned, and --only=no-such-unit plans none.
+  expect_range(${tool} --threads 0 1025)
   if(NOT tool STREQUAL "mfm_lint")
     expect_usage_error(${tool} --seed=12x)
     expect_usage_error(${tool} --seed=18446744073709551616)
+    expect_usage_error(${tool} --seed=-1)
   endif()
 endforeach()
 

@@ -452,9 +452,9 @@ FaultCampaignReport run_fault_campaign(const CompiledCircuit& cc,
       rep.site_detected[g.first + k] = (g.caught >> (k + 1)) & 1;
   }
 
-  // Tally and classify.  Observability comes from mfm-lint's
-  // unobservable rule (uncapped findings); "stuck at its own ternary
-  // constant under the pins" is undetectable by construction.
+  // Tally and classify.  Observability comes from lint's unobservable
+  // analysis over this campaign's compilation; "stuck at its own
+  // ternary constant under the pins" is undetectable by construction.
   std::size_t undetected = 0;
   for (const std::uint8_t d : rep.site_detected)
     if (!d) ++undetected;
@@ -462,17 +462,7 @@ FaultCampaignReport run_fault_campaign(const CompiledCircuit& cc,
   std::vector<std::uint8_t> unobservable;
   TernaryResult tern;
   if (opt.classify_undetected && undetected > 0) {
-    LintOptions lo;
-    lo.check_constants = false;
-    lo.check_duplicates = false;
-    lo.check_fanout = false;
-    lo.check_unobservable = true;
-    lo.max_findings_per_rule = -1;  // the full net list, not a sample
-    const LintReport lrep = lint_circuit(c, lo);
-    unobservable.assign(c.size(), 0);
-    for (const LintFinding& f : lrep.findings)
-      if (f.rule == LintRule::kUnobservable && f.net != kNoNet)
-        unobservable[f.net] = 1;
+    unobservable = unobservable_nets(cc);
     // Classify under the pins the vectors were actually built with, so
     // the pinned-constant class can never diverge from the applied
     // stimulus.
@@ -589,49 +579,38 @@ std::string fault_report_text(const FaultCampaignReport& rep,
 
 std::string fault_report_json(const FaultCampaignReport& rep,
                               const std::string& title) {
-  std::string j = "{\"title\":\"";
-  json_escape_into(j, title);
-  j += "\"";
-  auto num = [&](const char* k, std::uint64_t v) {
-    j += ",\"";
-    j += k;
-    j += "\":" + std::to_string(v);
-  };
-  num("sites", rep.sites);
-  num("detected", rep.detected);
-  char cov[32];
-  std::snprintf(cov, sizeof cov, "%.2f", rep.coverage_pct());
-  j += ",\"coverage_pct\":";
-  j += cov;
-  j += ",\"undetected\":{\"vector_gap\":" + std::to_string(rep.undetected_gap) +
-       ",\"unobservable\":" + std::to_string(rep.undetected_unobservable) +
-       ",\"pinned_constant\":" + std::to_string(rep.undetected_pinned) + "}";
-  num("vectors_per_fault", rep.vectors);
-  num("passes", rep.passes);
-  num("evals", rep.evals);
-  num("fault_vectors", rep.fault_vectors);
-  j += ",\"gaps\":[";
-  bool first = true;
-  for (const UndetectedFault& uf : rep.undetected) {
-    if (uf.cause != UndetectedCause::kVectorGap) continue;
-    if (!first) j += ",";
-    first = false;
-    j += "{\"net\":" + std::to_string(uf.site.net) + ",\"kind\":\"";
-    j += fault_kind_name(uf.site.kind);
-    j += "\"}";
-  }
-  j += "],\"modules\":[";
-  for (std::size_t i = 0; i < rep.modules.size(); ++i) {
-    const FaultModuleStats& m = rep.modules[i];
-    if (i) j += ",";
-    j += "{\"path\":\"";
-    json_escape_into(j, m.path);
-    j += "\",\"sites\":" + std::to_string(m.sites) +
-         ",\"detected\":" + std::to_string(m.detected) +
-         ",\"gaps\":" + std::to_string(m.gaps) + "}";
-  }
-  j += "]}";
-  return j;
+  JsonWriter j;
+  j.object()
+      .field("title", title)
+      .field("sites", rep.sites)
+      .field("detected", rep.detected)
+      .field("coverage_pct", rep.coverage_pct(), 2)
+      .key("undetected").object()
+      .field("vector_gap", rep.undetected_gap)
+      .field("unobservable", rep.undetected_unobservable)
+      .field("pinned_constant", rep.undetected_pinned)
+      .end()
+      .field("vectors_per_fault", rep.vectors)
+      .field("passes", rep.passes)
+      .field("evals", rep.evals)
+      .field("fault_vectors", rep.fault_vectors)
+      .key("gaps").array();
+  for (const UndetectedFault& uf : rep.undetected)
+    if (uf.cause == UndetectedCause::kVectorGap)
+      j.object()
+          .field("net", uf.site.net)
+          .field("kind", fault_kind_name(uf.site.kind))
+          .end();
+  j.end().key("modules").array();
+  for (const FaultModuleStats& m : rep.modules)
+    j.object()
+        .field("path", m.path)
+        .field("sites", m.sites)
+        .field("detected", m.detected)
+        .field("gaps", m.gaps)
+        .end();
+  j.end().end();
+  return j.str();
 }
 
 }  // namespace mfm::netlist

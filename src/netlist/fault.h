@@ -38,7 +38,7 @@
 // Undetected faults are classified against the static analyses so that
 // "undetected but observable" isolates a real vector gap:
 //   unobservable      the victim cannot reach any output port
-//                     (mfm-lint's unobservable rule, netlist/lint.h);
+//                     (lint's unobservable_nets, netlist/lint.h);
 //   pinned-constant   the victim is stuck at exactly its ternary
 //                     constant value under the campaign's control pins
 //                     (netlist/ternary.h) -- blanked logic, undetectable
@@ -159,7 +159,8 @@ struct FaultCampaignOptions {
   /// soon as its effect surfaces on any cycle.  Must be >= 0.
   int cycles = 0;
   /// Classify undetected faults against lint observability + ternary
-  /// constants (costs one lint pass; disable for throughput benches).
+  /// constants (costs one backward reachability pass and one ternary
+  /// pass; disable for throughput benches).
   bool classify_undetected = true;
   /// Stop a group's vector loop once every fault in the group is
   /// detected.  Disable to pin the exact work done (benchmarks).

@@ -15,20 +15,6 @@
 
 namespace mfm::netlist {
 
-namespace {
-
-std::string truncate_module(const std::string& path, int depth) {
-  std::size_t pos = 0;
-  for (int i = 0; i < depth; ++i) {
-    pos = path.find('/', pos);
-    if (pos == std::string::npos) return path;
-    ++pos;
-  }
-  return path.substr(0, pos == 0 ? path.size() : pos - 1);
-}
-
-}  // namespace
-
 GlitchReport analyze_glitch(const CompiledCircuit& cc, const TechLib& lib,
                             const GlitchOptions& options) {
   const Circuit& c = cc.circuit();
@@ -343,59 +329,33 @@ std::string glitch_report_text(const GlitchReport& rep,
 
 std::string glitch_report_json(const GlitchReport& rep,
                                const std::string& title) {
-  std::string j = "{";
-  char buf[64];
-  auto key = [&](const char* k) {
-    if (j.size() > 1) j += ",";
-    j += "\"";
-    j += k;
-    j += "\":";
-  };
-  auto fnum = [&](const char* k, double v) {
-    key(k);
-    std::snprintf(buf, sizeof buf, "%.3f", v);
-    j += buf;
-  };
-  key("title");
-  j += "\"";
-  json_escape_into(j, title);
-  j += "\"";
-  key("nets");
-  j += std::to_string(rep.nets);
-  key("glitchy_nets");
-  j += std::to_string(rep.glitchy_nets);
-  fnum("total_score", rep.total_score);
-  fnum("total_energy_fj", rep.total_energy_fj);
-  fnum("max_window_ps", rep.max_window_ps);
-  key("hot");
-  j += "[";
-  for (std::size_t i = 0; i < rep.hot.size(); ++i) {
-    const GlitchHotNet& h = rep.hot[i];
-    if (i) j += ",";
-    j += "{\"net\":" + std::to_string(h.net) + ",\"module\":\"";
-    json_escape_into(j, h.module);
-    std::snprintf(buf, sizeof buf,
-                  "\",\"score\":%.3f,\"energy_fj\":%.3f,\"window_ps\":%.3f}",
-                  h.score, h.energy_fj, h.window_ps);
-    j += buf;
-  }
-  j += "]";
-  key("modules");
-  j += "[";
-  for (std::size_t i = 0; i < rep.modules.size(); ++i) {
-    const GlitchModule& m = rep.modules[i];
-    if (i) j += ",";
-    j += "{\"path\":\"";
-    json_escape_into(j, m.path);
-    std::snprintf(buf, sizeof buf,
-                  "\",\"score\":%.3f,\"energy_fj\":%.3f,\"nets\":", m.score,
-                  m.energy_fj);
-    j += buf;
-    j += std::to_string(m.nets);
-    j += "}";
-  }
-  j += "]}";
-  return j;
+  JsonWriter j;
+  j.object()
+      .field("title", title)
+      .field("nets", rep.nets)
+      .field("glitchy_nets", rep.glitchy_nets)
+      .field("total_score", rep.total_score, 3)
+      .field("total_energy_fj", rep.total_energy_fj, 3)
+      .field("max_window_ps", rep.max_window_ps, 3)
+      .key("hot").array();
+  for (const GlitchHotNet& h : rep.hot)
+    j.object()
+        .field("net", h.net)
+        .field("module", h.module)
+        .field("score", h.score, 3)
+        .field("energy_fj", h.energy_fj, 3)
+        .field("window_ps", h.window_ps, 3)
+        .end();
+  j.end().key("modules").array();
+  for (const GlitchModule& m : rep.modules)
+    j.object()
+        .field("path", m.path)
+        .field("score", m.score, 3)
+        .field("energy_fj", m.energy_fj, 3)
+        .field("nets", m.nets)
+        .end();
+  j.end().end();
+  return j.str();
 }
 
 }  // namespace mfm::netlist

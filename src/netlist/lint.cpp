@@ -304,6 +304,35 @@ void pin_port(const Circuit& c, const std::string& name, std::uint64_t value,
 
 // ---- the analyzer ----------------------------------------------------------
 
+std::vector<std::uint8_t> unobservable_nets(const CompiledCircuit& cc) {
+  // mark[n] = 1 once n is known to reach an output port.
+  std::vector<std::uint8_t> mark(cc.size(), 0);
+  std::vector<NetId> stack;
+  for (const auto& [name, bus] : cc.circuit().out_ports()) {
+    (void)name;
+    for (const NetId n : bus)
+      if (!mark[n]) {
+        mark[n] = 1;
+        stack.push_back(n);
+      }
+  }
+  while (!stack.empty()) {
+    const NetId n = stack.back();
+    stack.pop_back();
+    for (const NetId in : cc.fanin(n)) {
+      if (!mark[in]) {
+        mark[in] = 1;
+        stack.push_back(in);
+      }
+    }
+  }
+  for (NetId i = 0; i < cc.size(); ++i) {
+    const GateKind k = cc.kind(i);
+    mark[i] = !mark[i] && (is_comb(k) || k == GateKind::Dff);
+  }
+  return mark;
+}
+
 LintReport lint_circuit(const Circuit& c, const LintOptions& options) {
   LintReport rep;
   Findings out(rep, options.max_findings_per_rule);
@@ -460,30 +489,9 @@ LintReport lint_circuit(const Circuit& c, const LintOptions& options) {
   // unobservable -- backward reachability from the output ports.
   if (valid && options.check_unobservable) {
     rep.unobservable_ran = true;
-    std::vector<std::uint8_t> reach(c.size(), 0);
-    std::vector<NetId> stack;
-    for (const auto& [name, bus] : c.out_ports()) {
-      (void)name;
-      for (const NetId n : bus)
-        if (!reach[n]) {
-          reach[n] = 1;
-          stack.push_back(n);
-        }
-    }
-    while (!stack.empty()) {
-      const NetId n = stack.back();
-      stack.pop_back();
-      for (const NetId in : compiled->fanin(n)) {
-        if (!reach[in]) {
-          reach[in] = 1;
-          stack.push_back(in);
-        }
-      }
-    }
+    const std::vector<std::uint8_t> unobservable = unobservable_nets(*compiled);
     for (NetId i = 0; i < c.size(); ++i) {
-      const GateKind k = c.gate(i).kind;
-      if (!is_comb(k) && k != GateKind::Dff) continue;
-      if (reach[i]) continue;
+      if (!unobservable[i]) continue;
       ++rep.unobservable_gates;
       ++module_of(i).unobservable_gates;
       out.add(LintRule::kUnobservable, LintSeverity::kWarning, i,
@@ -641,129 +649,85 @@ std::string lint_report_text(const LintReport& rep, const std::string& title) {
 }
 
 std::string lint_report_json(const LintReport& rep, const std::string& title) {
-  std::string j = "{";
-  auto key = [&](const char* k) {
-    if (j.size() > 1) j += ",";
-    j += "\"";
-    j += k;
-    j += "\":";
-  };
-  auto num = [&](const char* k, std::uint64_t v) {
-    key(k);
-    j += std::to_string(v);
-  };
-  key("title");
-  j += "\"";
-  json_escape_into(j, title);
-  j += "\"";
-
-  key("circuit");
-  {
-    const CircuitStats& st = rep.structure;
-    j += "{\"gates\":" + std::to_string(st.gates) +
-         ",\"combinational\":" + std::to_string(st.combinational) +
-         ",\"flops\":" + std::to_string(st.flops) +
-         ",\"inputs\":" + std::to_string(st.inputs) +
-         ",\"constants\":" + std::to_string(st.constants) +
-         ",\"dangling\":" + std::to_string(st.dangling) +
-         ",\"max_logic_depth\":" + std::to_string(st.max_logic_depth) + "}";
-  }
-  num("errors", rep.errors);
-  num("warnings", rep.warnings);
-  num("infos", rep.infos);
-  if (rep.constant_ran) {
-    key("constant");
-    j += "{\"blanked\":" + std::to_string(rep.blanked_gates) +
-         ",\"blanked0\":" + std::to_string(rep.blanked0_gates) +
-         ",\"active\":" + std::to_string(rep.active_gates) +
-         ",\"stuck_output_bits\":" + std::to_string(rep.constant_output_bits) +
-         ",\"x_flops\":" + std::to_string(rep.x_flops) +
-         ",\"uninit_output_bits\":" + std::to_string(rep.uninit_output_bits) +
-         "}";
-  }
+  JsonWriter j;
+  j.object().field("title", title);
+  const CircuitStats& st = rep.structure;
+  j.key("circuit").object()
+      .field("gates", st.gates)
+      .field("combinational", st.combinational)
+      .field("flops", st.flops)
+      .field("inputs", st.inputs)
+      .field("constants", st.constants)
+      .field("dangling", st.dangling)
+      .field("max_logic_depth", st.max_logic_depth)
+      .end();
+  j.field("errors", rep.errors)
+      .field("warnings", rep.warnings)
+      .field("infos", rep.infos);
+  if (rep.constant_ran)
+    j.key("constant").object()
+        .field("blanked", rep.blanked_gates)
+        .field("blanked0", rep.blanked0_gates)
+        .field("active", rep.active_gates)
+        .field("stuck_output_bits", rep.constant_output_bits)
+        .field("x_flops", rep.x_flops)
+        .field("uninit_output_bits", rep.uninit_output_bits)
+        .end();
   if (!rep.lanes.empty()) {
-    key("lanes");
-    j += "[";
-    for (std::size_t i = 0; i < rep.lanes.size(); ++i) {
-      const LaneResult& l = rep.lanes[i];
-      if (i) j += ",";
-      j += "{\"name\":\"";
-      json_escape_into(j, l.name);
-      j += std::string("\",\"ok\":") + (l.ok ? "true" : "false") +
-           ",\"require_constant\":" + (l.require_constant ? "true" : "false") +
-           ",\"offenders\":[";
-      for (std::size_t o = 0; o < l.offenders.size(); ++o) {
-        if (o) j += ",";
-        j += std::to_string(l.offenders[o]);
-      }
-      j += "]}";
+    j.key("lanes").array();
+    for (const LaneResult& l : rep.lanes) {
+      j.object()
+          .field("name", l.name)
+          .field("ok", l.ok)
+          .field("require_constant", l.require_constant)
+          .key("offenders").array();
+      for (const NetId n : l.offenders) j.value(n);
+      j.end().end();
     }
-    j += "]";
+    j.end();
   }
-  if (rep.duplicates_ran) {
-    num("duplicate_gates", rep.duplicate_gates);
-    num("structural_classes", rep.structural_classes);
-  }
-  if (rep.unobservable_ran) num("unobservable_gates", rep.unobservable_gates);
+  if (rep.duplicates_ran)
+    j.field("duplicate_gates", rep.duplicate_gates)
+        .field("structural_classes", rep.structural_classes);
+  if (rep.unobservable_ran) j.field("unobservable_gates", rep.unobservable_gates);
   if (rep.fanout_ran) {
-    num("max_fanout", static_cast<std::uint64_t>(rep.max_fanout));
-    num("buffer_chain_gates", rep.buffer_chain_gates);
-    key("fanout_hist");
-    j += "[";
-    for (std::size_t b = 0; b < rep.fanout_hist.size(); ++b) {
-      if (b) j += ",";
-      j += std::to_string(rep.fanout_hist[b]);
-    }
-    j += "]";
+    j.field("max_fanout", rep.max_fanout)
+        .field("buffer_chain_gates", rep.buffer_chain_gates)
+        .key("fanout_hist").array();
+    for (const std::size_t count : rep.fanout_hist) j.value(count);
+    j.end();
   }
-  if (rep.fusion_ran) {
-    num("fusion_opportunities", rep.fusion_opportunities);
-    key("fusion_area_nand2");
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.3f", rep.fusion_area_nand2);
-    j += buf;
+  if (rep.fusion_ran)
+    j.field("fusion_opportunities", rep.fusion_opportunities)
+        .field("fusion_area_nand2", rep.fusion_area_nand2, 3);
+  if (rep.glitch_ran)
+    j.field("glitch_prone_nets", rep.glitch_prone_nets)
+        .field("glitch_score_total", rep.glitch_score_total, 3)
+        .field("glitch_energy_fj", rep.glitch_energy_fj, 3);
+  j.key("findings").array();
+  for (const LintFinding& f : rep.findings) {
+    j.object()
+        .field("rule", lint_rule_name(f.rule))
+        .field("severity", lint_severity_name(f.severity))
+        .key("net");
+    if (f.net == kNoNet)
+      j.value(nullptr);
+    else
+      j.value(f.net);
+    j.field("message", f.message).end();
   }
-  if (rep.glitch_ran) {
-    num("glitch_prone_nets", rep.glitch_prone_nets);
-    char buf[48];
-    key("glitch_score_total");
-    std::snprintf(buf, sizeof buf, "%.3f", rep.glitch_score_total);
-    j += buf;
-    key("glitch_energy_fj");
-    std::snprintf(buf, sizeof buf, "%.3f", rep.glitch_energy_fj);
-    j += buf;
-  }
-  key("findings");
-  j += "[";
-  for (std::size_t i = 0; i < rep.findings.size(); ++i) {
-    const LintFinding& f = rep.findings[i];
-    if (i) j += ",";
-    j += "{\"rule\":\"";
-    j += lint_rule_name(f.rule);
-    j += "\",\"severity\":\"";
-    j += lint_severity_name(f.severity);
-    j += "\",\"net\":";
-    j += f.net == kNoNet ? "null" : std::to_string(f.net);
-    j += ",\"message\":\"";
-    json_escape_into(j, f.message);
-    j += "\"}";
-  }
-  j += "]";
-  key("modules");
-  j += "[";
-  for (std::size_t i = 0; i < rep.modules.size(); ++i) {
-    const ModuleLintStats& m = rep.modules[i];
-    if (i) j += ",";
-    j += "{\"path\":\"";
-    json_escape_into(j, m.path);
-    j += "\",\"gates\":" + std::to_string(m.gates) +
-         ",\"constant\":" + std::to_string(m.constant_gates) +
-         ",\"duplicate\":" + std::to_string(m.duplicate_gates) +
-         ",\"unobservable\":" + std::to_string(m.unobservable_gates) +
-         ",\"max_fanout\":" + std::to_string(m.max_fanout) + "}";
-  }
-  j += "]}";
-  return j;
+  j.end().key("modules").array();
+  for (const ModuleLintStats& m : rep.modules)
+    j.object()
+        .field("path", m.path)
+        .field("gates", m.gates)
+        .field("constant", m.constant_gates)
+        .field("duplicate", m.duplicate_gates)
+        .field("unobservable", m.unobservable_gates)
+        .field("max_fanout", m.max_fanout)
+        .end();
+  j.end().end();
+  return j.str();
 }
 
 }  // namespace mfm::netlist

@@ -66,6 +66,8 @@
 
 namespace mfm::netlist {
 
+class CompiledCircuit;
+
 enum class LintSeverity : std::uint8_t { kInfo, kWarning, kError };
 
 enum class LintRule : std::uint8_t {
@@ -124,7 +126,6 @@ struct LintOptions {
   std::vector<TernaryPin> pins;  ///< control-net constraints
   std::vector<LaneSpec> lanes;
 
-  bool check_structure = true;
   bool check_constants = true;
   bool check_duplicates = true;
   bool check_unobservable = true;
@@ -206,6 +207,12 @@ struct LintReport {
 
 /// Runs the enabled rules and returns findings plus statistics.
 LintReport lint_circuit(const Circuit& c, const LintOptions& options = {});
+
+/// The unobservable rule's analysis, which the fault campaign also
+/// classifies with: one byte per net, 1 for a gate (combinational or
+/// flop) that cannot reach any output port by backward reachability
+/// over @p cc's fan-in, else 0.
+std::vector<std::uint8_t> unobservable_nets(const CompiledCircuit& cc);
 
 /// Appends pins forcing the named input port to @p value (bit i of the
 /// port gets bit i of value).  Throws std::out_of_range on unknown port.

@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "netlist/report.h"
+
 namespace mfm::netlist {
 
 namespace {
@@ -9,16 +11,6 @@ namespace {
 // Wire load estimate per fan-out pin [fF]; a small adder on top of pin caps
 // standing in for routing parasitics.
 constexpr double kWireCapPerFanoutFf = 0.45;
-
-std::string truncate_module(const std::string& path, int depth) {
-  std::size_t pos = 0;
-  for (int i = 0; i < depth; ++i) {
-    pos = path.find('/', pos);
-    if (pos == std::string::npos) return path;
-    ++pos;
-  }
-  return path.substr(0, pos == 0 ? path.size() : pos - 1);
-}
 
 }  // namespace
 

@@ -2,10 +2,9 @@
 
 #include <cstdio>
 #include <sstream>
+#include <stdexcept>
 
 namespace mfm::netlist {
-
-namespace {
 
 std::string truncate_module(const std::string& path, int depth) {
   std::size_t pos = 0;
@@ -16,8 +15,6 @@ std::string truncate_module(const std::string& path, int depth) {
   }
   return path.substr(0, pos == 0 ? path.size() : pos - 1);
 }
-
-}  // namespace
 
 std::map<std::string, ModuleArea> area_by_module(const Circuit& c,
                                                  const TechLib& lib,
@@ -45,7 +42,10 @@ std::size_t gate_count(const Circuit& c) {
   return c.size() - c.primary_inputs().size() - 2;
 }
 
-void json_escape_into(std::string& out, std::string_view s) {
+namespace {
+
+void escape_into(std::string& out, std::string_view s) {
+  out += '"';
   for (const char ch : s) {
     switch (ch) {
       case '"': out += "\\\""; break;
@@ -62,6 +62,67 @@ void json_escape_into(std::string& out, std::string_view s) {
         }
     }
   }
+  out += '"';
+}
+
+}  // namespace
+
+void JsonWriter::separate() {
+  if (need_comma_) out_ += ',';
+  need_comma_ = false;
+}
+
+JsonWriter& JsonWriter::open(char opener, char closer) {
+  separate();
+  out_ += opener;
+  closers_ += closer;
+  return *this;
+}
+
+JsonWriter& JsonWriter::object() { return open('{', '}'); }
+
+JsonWriter& JsonWriter::array() { return open('[', ']'); }
+
+JsonWriter& JsonWriter::end() {
+  if (closers_.empty())
+    throw std::logic_error("JsonWriter::end: no object or array is open");
+  out_ += closers_.back();
+  closers_.pop_back();
+  need_comma_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::key(std::string_view k) {
+  separate();
+  escape_into(out_, k);
+  out_ += ':';
+  return *this;
+}
+
+JsonWriter& JsonWriter::value(std::string_view s) {
+  separate();
+  escape_into(out_, s);
+  need_comma_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::value(bool b) { return raw(b ? "true" : "false"); }
+
+JsonWriter& JsonWriter::value(std::nullptr_t) { return raw("null"); }
+
+JsonWriter& JsonWriter::value(double v, int precision) {
+  std::string s(
+      static_cast<std::size_t>(std::snprintf(nullptr, 0, "%.*f", precision, v)),
+      '\0');
+  std::snprintf(s.data(), s.size() + 1, "%.*f", precision, v);
+  return raw(s);
+}
+
+JsonWriter& JsonWriter::raw(std::string_view rendered) {
+  separate();
+  out_ += rendered;
+  need_comma_ = true;
+  return *this;
 }
 
 ReportSink::ReportSink(std::string_view tool, bool json,
@@ -91,13 +152,13 @@ void ReportSink::unit(const std::string& rendered) {
   }
 }
 
-bool ReportSink::finish(const std::string& json_summary,
+bool ReportSink::finish(const JsonWriter& json_fields,
                         const std::string& text_summary) {
   if (!ok_ || finished_) return ok_;
   finished_ = true;
   if (json_) {
     *out_ << "]";
-    if (!json_summary.empty()) *out_ << "," << json_summary;
+    if (!json_fields.str().empty()) *out_ << "," << json_fields.str();
     *out_ << "}\n";
   } else if (!text_summary.empty()) {
     *out_ << text_summary;

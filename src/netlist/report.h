@@ -1,15 +1,20 @@
-// Area / structure reports over a Circuit, plus the one shared JSON
-// string escaper every report emitter uses (lint, fault, sweep): the
-// escaping rules live here exactly once so the JSON consumers in CI
-// never see two reports disagree on what a control character becomes.
+// Area / structure reports over a Circuit, plus the one JSON writer
+// every report renders through (lint, fault, sweep, rewrite, glitch,
+// serve, the roster's error records and the tools' summaries): where
+// commas, quotes, escapes and number precisions go is decided here
+// exactly once, so the JSON that CI diffs byte for byte never depends on
+// which emitter produced it.
 #pragma once
 
+#include <concepts>
+#include <cstddef>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
 #include <map>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "netlist/circuit.h"
 #include "netlist/techlib.h"
@@ -23,8 +28,13 @@ struct ModuleArea {
   std::size_t flops = 0;
 };
 
+/// The first @p depth components of a module path ("top/ppgen/row3" at
+/// depth 2 -> "top/ppgen"); the label every per-module breakdown (area,
+/// timing path segments, power, glitch) groups by.
+std::string truncate_module(const std::string& path, int depth);
+
 /// Aggregates cell area per module label, truncated to @p module_depth
-/// path components ("top/ppgen/row3" at depth 2 -> "top/ppgen").
+/// path components (truncate_module).
 std::map<std::string, ModuleArea> area_by_module(const Circuit& c,
                                                  const TechLib& lib,
                                                  int module_depth = 2);
@@ -41,9 +51,53 @@ std::size_t gate_count(const Circuit& c);
 /// Formats a gate-kind histogram as a short text table.
 std::string format_kind_histogram(const Circuit& c);
 
-/// Appends @p s to @p out with JSON string escaping (quotes, backslash,
-/// \n, \t, and \uXXXX for the remaining control characters).
-void json_escape_into(std::string& out, std::string_view s);
+/// Builds one JSON text.  Objects and arrays place their own commas;
+/// keys and strings are escaped (quote, backslash, \n, \t, and \uXXXX
+/// for the other control bytes); a double prints at the printf
+/// precision its caller names ("%.3f" for precision 3).  With no object
+/// open, key() writes bare members ("a":1,"b":2): the top-level fields
+/// ReportSink::finish appends after the units array.
+class JsonWriter {
+ public:
+  /// Opens an object / array as the next value; end() closes the
+  /// innermost one (std::logic_error when none is open).
+  JsonWriter& object();
+  JsonWriter& array();
+  JsonWriter& end();
+
+  /// The key of the next member; its value follows.
+  JsonWriter& key(std::string_view k);
+
+  JsonWriter& value(std::string_view s);  ///< an escaped string
+  JsonWriter& value(const char* s) { return value(std::string_view(s)); }
+  JsonWriter& value(bool b);
+  JsonWriter& value(std::nullptr_t);  ///< null
+  template <std::integral T>
+  JsonWriter& value(T v) {
+    return raw(std::to_string(v));
+  }
+  /// "%.<precision>f"; a double without a precision does not compile.
+  JsonWriter& value(double v, int precision);
+  JsonWriter& value(double) = delete;
+  /// One value rendered by another writer, written verbatim.
+  JsonWriter& raw(std::string_view rendered);
+
+  /// key(k) followed by value(v...).
+  template <typename... V>
+  JsonWriter& field(std::string_view k, V&&... v) {
+    return key(k).value(std::forward<V>(v)...);
+  }
+
+  const std::string& str() const { return out_; }
+
+ private:
+  JsonWriter& open(char opener, char closer);
+  void separate();
+
+  std::string out_;
+  std::string closers_;  ///< the closing bracket of each open container
+  bool need_comma_ = false;
+};
 
 /// Shared output sink for the six mfm_* CLI tools.  Owns the --out=FILE
 /// destination, the {"units":[...]} JSON framing with comma separation,
@@ -63,11 +117,11 @@ class ReportSink {
   /// sink appends the separating blank line).
   void unit(const std::string& rendered);
 
-  /// Closes the envelope.  @p json_summary is a raw fragment of extra
-  /// top-level fields (e.g. "\"failures\":3") appended after the units
-  /// array; @p text_summary is written verbatim in text mode.  Returns
-  /// false (after a stderr diagnostic) if any write failed.
-  bool finish(const std::string& json_summary = "",
+  /// Closes the envelope.  @p json_fields are extra top-level members
+  /// (e.g. "failures":3) appended after the units array; @p text_summary
+  /// is written verbatim in text mode.  Returns false (after a stderr
+  /// diagnostic) if any write failed.
+  bool finish(const JsonWriter& json_fields = {},
               const std::string& text_summary = "");
 
  private:

@@ -120,49 +120,34 @@ std::string rewrite_report_text(const RewriteReport& rep,
 
 std::string rewrite_report_json(const RewriteReport& rep,
                                 const std::string& title) {
-  std::string j = "{\"unit\":\"";
-  json_escape_into(j, title);
-  char buf[64];
-  auto num = [&](const char* key, double v, bool more = true) {
-    std::snprintf(buf, sizeof buf, "\"%s\":%.3f%s", key, v, more ? "," : "");
-    j += buf;
-  };
-  auto count = [&](const char* key, std::uint64_t v, bool more = true) {
-    std::snprintf(buf, sizeof buf, "\"%s\":%llu%s", key,
-                  static_cast<unsigned long long>(v), more ? "," : "");
-    j += buf;
-  };
-  j += "\",";
-  count("gates_before", rep.gates_before);
-  count("gates_after", rep.gates_after);
-  count("gates_removed", rep.gates_removed());
-  num("area_before_nand2", rep.area_before_nand2);
-  num("area_after_nand2", rep.area_after_nand2);
-  num("area_removed_nand2", rep.area_removed_nand2());
-  count("iterations", static_cast<std::uint64_t>(rep.iterations));
-  count("applied", rep.applied);
-  j += std::string("\"glitch_ran\":") + (rep.glitch_ran ? "true" : "false") +
-       ",";
-  num("glitch_before_fj", rep.glitch_before_fj);
-  num("glitch_after_fj", rep.glitch_after_fj);
-  num("glitch_removed_fj", rep.glitch_removed_fj());
-  j += std::string("\"verify_ran\":") + (rep.verify_ran ? "true" : "false") +
-       ",\"verified\":" + (rep.verified ? "true" : "false") + ",";
-  count("verify_vectors", rep.verify_vectors);
-  j += "\"counterexample\":\"";
-  json_escape_into(j, rep.counterexample);
-  j += "\",\"rules\":[";
-  for (std::size_t i = 0; i < rep.rules.size(); ++i) {
-    const RewriteRuleStats& r = rep.rules[i];
-    j += i == 0 ? "{\"rule\":\"" : ",{\"rule\":\"";
-    json_escape_into(j, r.rule);
-    j += "\",";
-    count("matches", r.matches);
-    num("area_saved_nand2", r.area_saved_nand2, /*more=*/false);
-    j += "}";
-  }
-  j += "]}";
-  return j;
+  JsonWriter j;
+  j.object()
+      .field("unit", title)
+      .field("gates_before", rep.gates_before)
+      .field("gates_after", rep.gates_after)
+      .field("gates_removed", rep.gates_removed())
+      .field("area_before_nand2", rep.area_before_nand2, 3)
+      .field("area_after_nand2", rep.area_after_nand2, 3)
+      .field("area_removed_nand2", rep.area_removed_nand2(), 3)
+      .field("iterations", rep.iterations)
+      .field("applied", rep.applied)
+      .field("glitch_ran", rep.glitch_ran)
+      .field("glitch_before_fj", rep.glitch_before_fj, 3)
+      .field("glitch_after_fj", rep.glitch_after_fj, 3)
+      .field("glitch_removed_fj", rep.glitch_removed_fj(), 3)
+      .field("verify_ran", rep.verify_ran)
+      .field("verified", rep.verified)
+      .field("verify_vectors", rep.verify_vectors)
+      .field("counterexample", rep.counterexample)
+      .key("rules").array();
+  for (const RewriteRuleStats& r : rep.rules)
+    j.object()
+        .field("rule", r.rule)
+        .field("matches", r.matches)
+        .field("area_saved_nand2", r.area_saved_nand2, 3)
+        .end();
+  j.end().end();
+  return j.str();
 }
 
 }  // namespace mfm::netlist

@@ -412,52 +412,38 @@ std::string sweep_report_text(const SweepReport& rep,
 
 std::string sweep_report_json(const SweepReport& rep,
                               const std::string& title) {
-  std::string j = "{\"unit\":\"";
-  json_escape_into(j, title);
-  char buf[64];
-  auto num = [&](const char* key, double v, bool more = true) {
-    std::snprintf(buf, sizeof buf, "\"%s\":%.3f%s", key, v, more ? "," : "");
-    j += buf;
-  };
-  auto count = [&](const char* key, std::uint64_t v, bool more = true) {
-    std::snprintf(buf, sizeof buf, "\"%s\":%llu%s", key,
-                  static_cast<unsigned long long>(v), more ? "," : "");
-    j += buf;
-  };
-  j += "\",";
-  count("gates_before", rep.gates_before);
-  count("gates_after", rep.gates_after);
-  count("gates_removed", rep.gates_removed());
-  num("area_before_nand2", rep.area_before_nand2);
-  num("area_after_nand2", rep.area_after_nand2);
-  num("area_removed_nand2", rep.area_removed_nand2());
-  count("strash_merged", rep.strash_merged);
-  count("proven_ternary", rep.proven_ternary);
-  count("candidate_classes", rep.candidate_classes);
-  count("candidates", rep.candidates);
-  count("proven_exhaustive", rep.proven_exhaustive);
-  count("proven_sat", rep.proven_sat);
-  count("refuted", rep.refuted);
-  count("unresolved", rep.unresolved);
-  count("merged_gates", rep.merged_gates);
-  count("dead_gates", rep.dead_gates);
-  j += std::string("\"verify_ran\":") + (rep.verify_ran ? "true" : "false") +
-       ",\"verified\":" + (rep.verified ? "true" : "false") + ",";
-  count("verify_vectors", rep.verify_vectors);
-  j += "\"counterexample\":\"";
-  json_escape_into(j, rep.counterexample);
-  j += "\",\"modules\":[";
-  for (std::size_t i = 0; i < rep.modules.size(); ++i) {
-    const SweepModuleDelta& m = rep.modules[i];
-    j += i == 0 ? "{\"path\":\"" : ",{\"path\":\"";
-    json_escape_into(j, m.path);
-    j += "\",";
-    count("gates_removed", m.gates_removed);
-    num("area_removed_nand2", m.area_removed_nand2, /*more=*/false);
-    j += "}";
-  }
-  j += "]}";
-  return j;
+  JsonWriter j;
+  j.object()
+      .field("unit", title)
+      .field("gates_before", rep.gates_before)
+      .field("gates_after", rep.gates_after)
+      .field("gates_removed", rep.gates_removed())
+      .field("area_before_nand2", rep.area_before_nand2, 3)
+      .field("area_after_nand2", rep.area_after_nand2, 3)
+      .field("area_removed_nand2", rep.area_removed_nand2(), 3)
+      .field("strash_merged", rep.strash_merged)
+      .field("proven_ternary", rep.proven_ternary)
+      .field("candidate_classes", rep.candidate_classes)
+      .field("candidates", rep.candidates)
+      .field("proven_exhaustive", rep.proven_exhaustive)
+      .field("proven_sat", rep.proven_sat)
+      .field("refuted", rep.refuted)
+      .field("unresolved", rep.unresolved)
+      .field("merged_gates", rep.merged_gates)
+      .field("dead_gates", rep.dead_gates)
+      .field("verify_ran", rep.verify_ran)
+      .field("verified", rep.verified)
+      .field("verify_vectors", rep.verify_vectors)
+      .field("counterexample", rep.counterexample)
+      .key("modules").array();
+  for (const SweepModuleDelta& m : rep.modules)
+    j.object()
+        .field("path", m.path)
+        .field("gates_removed", m.gates_removed)
+        .field("area_removed_nand2", m.area_removed_nand2, 3)
+        .end();
+  j.end().end();
+  return j.str();
 }
 
 }  // namespace mfm::netlist

@@ -3,21 +3,9 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "netlist/report.h"
+
 namespace mfm::netlist {
-
-namespace {
-
-std::string truncate_module(const std::string& path, int depth) {
-  std::size_t pos = 0;
-  for (int i = 0; i < depth; ++i) {
-    pos = path.find('/', pos);
-    if (pos == std::string::npos) return path;
-    ++pos;
-  }
-  return path.substr(0, pos == 0 ? path.size() : pos - 1);
-}
-
-}  // namespace
 
 Sta::Sta(const CompiledCircuit& cc, const TechLib& lib)
     : cc_(&cc),

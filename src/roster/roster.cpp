@@ -66,12 +66,9 @@ std::vector<RosterJob> plan_jobs(const std::string& only) {
 std::string render_job_error(const std::string& job_name,
                              const std::string& message, bool json) {
   if (!json) return job_name + ": ERROR: " + message;
-  std::string out = "{\"unit\":\"";
-  netlist::json_escape_into(out, job_name);
-  out += "\",\"error\":\"";
-  netlist::json_escape_into(out, message);
-  out += "\"}";
-  return out;
+  netlist::JsonWriter j;
+  j.object().field("unit", job_name).field("error", message).end();
+  return j.str();
 }
 
 const char* injected_failure_needle() {

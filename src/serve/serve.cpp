@@ -15,10 +15,6 @@ using netlist::Bus;
 using netlist::Circuit;
 using netlist::PackSim;
 
-void append_u64(std::string& out, std::uint64_t v) {
-  out += std::to_string(v);
-}
-
 /// In-place 64x64 bit-matrix transpose (Hacker's Delight 7-3): bit c of
 /// a[r] swaps with bit r of a[c].  This is the whole packing step --
 /// operand row l (op l's word) becomes lane column l of every bit's
@@ -57,39 +53,24 @@ OperandPorts resolve_operand_ports(const Circuit& c) {
 }
 
 std::string ServiceStats::json(bool with_rates) const {
-  std::string s = "{\"label\":\"";
-  netlist::json_escape_into(s, work_label);
-  s += "\",\"work\":";
-  append_u64(s, work);
-  s += ",\"requests\":";
-  append_u64(s, requests);
-  s += ",\"failed\":";
-  append_u64(s, failed);
-  s += ",\"batches\":";
-  append_u64(s, batches);
-  s += ",\"rejected\":";
-  append_u64(s, rejected);
-  s += ",\"units\":{";
-  bool first = true;
-  for (const auto& [name, count] : unit_batches) {
-    if (!first) s += ',';
-    first = false;
-    s += '"';
-    netlist::json_escape_into(s, name);
-    s += "\":";
-    append_u64(s, count);
-  }
-  s += '}';
-  if (with_rates) {
-    char buf[96];
-    std::snprintf(buf, sizeof buf,
-                  ",\"threads\":%d,\"queue_high_water\":%zu,"
-                  "\"elapsed_s\":%.3f,\"per_s\":%.0f",
-                  threads, queue_high_water, elapsed_s, per_second());
-    s += buf;
-  }
-  s += '}';
-  return s;
+  netlist::JsonWriter j;
+  j.object()
+      .field("label", work_label)
+      .field("work", work)
+      .field("requests", requests)
+      .field("failed", failed)
+      .field("batches", batches)
+      .field("rejected", rejected)
+      .key("units").object();
+  for (const auto& [name, count] : unit_batches) j.field(name, count);
+  j.end();
+  if (with_rates)
+    j.field("threads", threads)
+        .field("queue_high_water", queue_high_water)
+        .field("elapsed_s", elapsed_s, 3)
+        .field("per_s", per_second(), 0);
+  j.end();
+  return j.str();
 }
 
 std::string ServiceStats::text() const {

@@ -8,12 +8,21 @@
 #include <cstdio>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cli_util.h"
 
 namespace mfm::cli {
 namespace {
+
+/// A summary whose only JSON member is "failures":@p n.
+Summary failures(std::size_t n, std::vector<std::string> gates = {}) {
+  Summary s;
+  s.json.field("failures", n);
+  s.failures = std::move(gates);
+  return s;
+}
 
 /// Parses @p arg as the only argument of a tool named "t".
 bool parse1(const std::vector<Flag>& t, const std::string& arg) {
@@ -42,6 +51,7 @@ TEST(CliParsers, U64AndDoubleRejectTrailingGarbage) {
   EXPECT_EQ(u, 0xFAu);
   EXPECT_FALSE(parse_u64("0xFAZ", u));
   EXPECT_FALSE(parse_u64("", u));
+  EXPECT_FALSE(parse_u64("-1", u));  // strtoull would wrap it to 2^64-1
   double d = 0.0;
   EXPECT_TRUE(parse_double("1.5", d));
   EXPECT_DOUBLE_EQ(d, 1.5);
@@ -273,14 +283,16 @@ TEST(CliFinish, ExitStatusFollowsWriteErrorsAndGates) {
     netlist::ReportSink sink("t", /*json=*/true, path);
     return finish("t", sink, errored, s);
   };
-  EXPECT_EQ(run({}, {"\"failures\":0", "", {}}), 0);
-  EXPECT_EQ(run({"mf/fp64"}, {"\"failures\":0", "", {}}), 1);
-  EXPECT_EQ(run({}, {"\"failures\":1", "", {"mult8: below gate"}}), 1);
+  EXPECT_EQ(run({}, failures(0)), 0);
+  EXPECT_EQ(run({"mf/fp64"}, failures(0)), 1);
+  EXPECT_EQ(run({}, failures(1, {"mult8: below gate"})), 1);
   std::remove(path.c_str());
 
   netlist::ReportSink unopened("t", /*json=*/true, "/nonexistent-dir/x.json");
   ASSERT_FALSE(unopened.ok());
-  EXPECT_EQ(finish("t", unopened, {"mf/fp64"}, {"", "", {"gate"}}), 2);
+  Summary gate;
+  gate.failures = {"gate"};
+  EXPECT_EQ(finish("t", unopened, {"mf/fp64"}, gate), 2);
 }
 
 TEST(CliFinish, RosterRunGainsTheErrorsField) {
@@ -296,7 +308,7 @@ TEST(CliFinish, RosterRunGainsTheErrorsField) {
     driver.run<Result>(sink, [](const roster::JobContext& ctx) {
       return Result{"{\"unit\":\"" + ctx.job.name + "\"}"};
     });
-    rc = finish("t", sink, driver, {"\"failures\":0", "", {}});
+    rc = finish("t", sink, driver, failures(0));
   }
   EXPECT_EQ(rc, 0);
   std::FILE* f = std::fopen(path.c_str(), "r");

@@ -162,6 +162,14 @@ TEST(AnalyzeGlitch, ReportsRenderScoresAndModules) {
   EXPECT_NE(json.find("\"total_energy_fj\":"), std::string::npos);
   EXPECT_NE(json.find("\"hot\":["), std::string::npos);
   EXPECT_NE(json.find("\"modules\":["), std::string::npos);
+
+  // Wide values used to overrun a fixed 64-byte buffer and cut the
+  // hot-net record short, leaving invalid JSON.
+  GlitchReport wide;
+  wide.hot = {{9, 12345.5, 123456.25, 12345.0, "top"}};
+  EXPECT_NE(glitch_report_json(wide, "w").find(
+                "\"energy_fj\":123456.250,\"window_ps\":12345.000}]"),
+            std::string::npos);
 }
 
 TEST(MeasureGlitch, SplitPartitionsTogglesAndPinsHold) {

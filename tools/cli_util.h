@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <functional>
 #include <iterator>
 #include <limits>
@@ -42,7 +43,10 @@ inline bool parse_long(const char* s, long& out) {
   return end != s && *end == '\0' && errno != ERANGE;
 }
 
+/// Rejects a minus sign, which strtoull would accept and wrap: "-1"
+/// would read as 2^64-1.
 inline bool parse_u64(const char* s, std::uint64_t& out) {
+  if (std::strchr(s, '-')) return false;
   char* end = nullptr;
   errno = 0;
   out = std::strtoull(s, &end, 0);
@@ -214,7 +218,7 @@ inline bool parse(const char* tool, const std::vector<Flag>& t, int argc,
 
 /// What a tool reports after its per-unit records.
 struct Summary {
-  std::string json;  ///< top-level JSON fields, e.g. "\"failures\":0"
+  netlist::JsonWriter json;  ///< top-level members, e.g. "failures":0
   std::string text;  ///< the text-mode summary, written verbatim
   std::vector<std::string> failures;  ///< one stderr line per failed gate
 };
@@ -241,7 +245,7 @@ inline int finish(const char* tool, netlist::ReportSink& sink,
 inline int finish(const char* tool, netlist::ReportSink& sink,
                   const roster::RosterDriver& driver, Summary s) {
   const std::vector<std::string> errored = driver.failed_jobs();
-  s.json += ",\"errors\":" + std::to_string(errored.size());
+  s.json.field("errors", errored.size());
   return finish(tool, sink, errored, s);
 }
 

@@ -113,6 +113,6 @@ int main(int argc, char** argv) {
                   r.coverage);
     summary.text += line;
   }
-  summary.json = "\"failures\":" + std::to_string(summary.failures.size());
+  summary.json.field("failures", summary.failures.size());
   return mfm::cli::finish("mfm_faults", sink, driver, summary);
 }

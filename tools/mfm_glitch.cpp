@@ -96,32 +96,30 @@ JobResult analyze_unit(const CliOptions& cli,
   r.gate_failed = !pass;
   r.overlap_frac = cv.overlap_frac;
   r.rank_corr = cv.rank_corr;
-  char buf[160];
   if (cli.common.json) {
-    std::string j = "{\"unit\":\"";
-    mfm::netlist::json_escape_into(j, ctx.job.name);
-    j += "\",\"static\":";
-    j += glitch_report_json(stat, ctx.job.name);
-    std::snprintf(buf, sizeof buf,
-                  ",\"measured\":{\"cycles\":%llu,\"toggles\":%llu,"
-                  "\"functional\":%llu,\"glitch\":%llu,",
-                  static_cast<unsigned long long>(meas.cycles),
-                  static_cast<unsigned long long>(meas.counts.total_toggles()),
-                  static_cast<unsigned long long>(meas.functional),
-                  static_cast<unsigned long long>(meas.glitch));
-    j += buf;
-    std::snprintf(buf, sizeof buf, "\"glitch_energy_fj\":%.3f}",
-                  meas.glitch_energy_total_fj);
-    j += buf;
-    std::snprintf(buf, sizeof buf,
-                  ",\"crosscheck\":{\"k\":%d,\"overlap\":%d,"
-                  "\"overlap_frac\":%.4f,\"rank_corr\":%.4f,\"compared\":%zu,"
-                  "\"pass\":%s}}",
-                  cv.k, cv.overlap, cv.overlap_frac, cv.rank_corr, cv.compared,
-                  pass ? "true" : "false");
-    j += buf;
-    r.rendered = std::move(j);
+    mfm::netlist::JsonWriter j;
+    j.object()
+        .field("unit", ctx.job.name)
+        .key("static").raw(glitch_report_json(stat, ctx.job.name))
+        .key("measured").object()
+        .field("cycles", meas.cycles)
+        .field("toggles", meas.counts.total_toggles())
+        .field("functional", meas.functional)
+        .field("glitch", meas.glitch)
+        .field("glitch_energy_fj", meas.glitch_energy_total_fj, 3)
+        .end()
+        .key("crosscheck").object()
+        .field("k", cv.k)
+        .field("overlap", cv.overlap)
+        .field("overlap_frac", cv.overlap_frac, 4)
+        .field("rank_corr", cv.rank_corr, 4)
+        .field("compared", cv.compared)
+        .field("pass", pass)
+        .end()
+        .end();
+    r.rendered = j.str();
   } else {
+    char buf[160];
     std::string t = glitch_report_text(stat, ctx.job.name);
     std::snprintf(buf, sizeof buf,
                   "measured: %llu cycles, %llu toggles (functional %llu, "
@@ -178,8 +176,8 @@ int main(int argc, char** argv) {
                   r.rank_corr, cli.min_corr);
     summary.failures.push_back(line);
   }
-  const std::string failed = std::to_string(summary.failures.size());
-  summary.json = "\"gate_failures\":" + failed;
-  summary.text = "cross-validation failures: " + failed + "\n";
+  summary.json.field("gate_failures", summary.failures.size());
+  summary.text = "cross-validation failures: " +
+                 std::to_string(summary.failures.size()) + "\n";
   return mfm::cli::finish("mfm_glitch", sink, driver, summary);
 }

@@ -104,6 +104,6 @@ int main(int argc, char** argv) {
   if (!summary.text.empty())
     // Table V, structurally: gates that can toggle under each format pin.
     summary.text.insert(0, "active combinational gates by format:\n");
-  summary.json = "\"failures\":" + std::to_string(summary.failures.size());
+  summary.json.field("failures", summary.failures.size());
   return mfm::cli::finish("mfm_lint", sink, driver, summary);
 }

@@ -176,15 +176,15 @@ int main(int argc, char** argv) {
     total_area_saved += r.area_saved;
     total_glitch_saved += r.glitch_saved_fj;
   }
-  char area[64];
-  std::snprintf(area, sizeof area, "%.3f", total_area_saved);
-  char glitch[64];
-  std::snprintf(glitch, sizeof glitch, "%.3f", total_glitch_saved);
-  summary.json = std::string("\"total_area_saved_nand2\":") + area +
-                 ",\"total_glitch_saved_fj\":" + glitch + ",\"failures\":" +
-                 std::to_string(summary.failures.size());
-  summary.text = std::string("total area saved: ") + area +
-                 " NAND2, glitch energy saved: " + glitch + " fJ/cycle\n";
+  summary.json.field("total_area_saved_nand2", total_area_saved, 3)
+      .field("total_glitch_saved_fj", total_glitch_saved, 3)
+      .field("failures", summary.failures.size());
+  char text[160];
+  std::snprintf(text, sizeof text,
+                "total area saved: %.3f NAND2, glitch energy saved: %.3f "
+                "fJ/cycle\n",
+                total_area_saved, total_glitch_saved);
+  summary.text = text;
   if (total_area_saved < cli.min_area_saved) {
     char line[128];
     std::snprintf(line, sizeof line,

@@ -16,7 +16,8 @@
 // end-to-end checks queueing, 64-lane packing, eval, unpacking and
 // partial-batch masking on every shipped unit.
 //
-// --threads defaults to `auto` (one worker per hardware thread).  The
+// --threads defaults to `auto` (one worker per hardware thread), and the
+// service never starts more workers than there are jobs.  The
 // operand streams are seeded per job name, and the report plus the
 // service-stats summary are byte-identical at any --threads value (the
 // CI determinism gate diffs them); the timing-dependent numbers --
@@ -69,7 +70,9 @@ std::uint64_t job_seed(std::uint64_t seed, const std::string& name) {
 
 int main(int argc, char** argv) {
   CliOptions cli;
-  cli.common.threads = 0;  // default --threads=auto (all hardware threads)
+  // Default --threads=auto, resolved as the flag table resolves it.
+  cli.common.threads =
+      std::min(mfm::common::hardware_threads(), mfm::cli::kMaxThreads);
   const auto flags = mfm::cli::table(
       cli.common, {flag("--seed", "S", cli.seed),
                    flag("--ops", "N", cli.ops, 1, 10'000'000),
@@ -85,7 +88,10 @@ int main(int argc, char** argv) {
 
   mfm::roster::UnitCache cache;
   mfm::serve::ServiceOptions opt;
-  opt.threads = cli.common.threads;
+  // No more workers than jobs, as common::parallel_for runs the roster
+  // tools.
+  opt.threads = std::min(cli.common.threads,
+                         std::max(1, static_cast<int>(jobs.size())));
   opt.queue_capacity = static_cast<std::size_t>(cli.queue);
   mfm::serve::MultiplyService service(cache, opt);
 
@@ -143,12 +149,14 @@ int main(int argc, char** argv) {
     }
     if (error.empty()) {
       if (cli.common.json) {
-        std::string rec = "{\"unit\":\"";
-        mfm::netlist::json_escape_into(rec, job.name);
-        rec += "\",\"ops\":" + std::to_string(cli.ops) +
-               ",\"requests\":" + std::to_string(pending[j].size()) +
-               ",\"checked\":true}";
-        sink.unit(rec);
+        mfm::netlist::JsonWriter rec;
+        rec.object()
+            .field("unit", job.name)
+            .field("ops", cli.ops)
+            .field("requests", pending[j].size())
+            .field("checked", true)
+            .end();
+        sink.unit(rec.str());
       } else {
         sink.unit(job.name + ": " + std::to_string(cli.ops) + " ops in " +
                   std::to_string(pending[j].size()) +
@@ -167,11 +175,10 @@ int main(int argc, char** argv) {
   // report (stdout / --out) is byte-identical at any --threads value.
   std::fprintf(stderr, "mfm_serve: %s", stats.text().c_str());
 
+  mfm::cli::Summary summary;
   const std::string service_json = stats.json(/*with_rates=*/false);
-  return mfm::cli::finish(
-      "mfm_serve", sink, failed,
-      {"\"mismatches\":" + std::to_string(failed.size()) +
-           ",\"service\":" + service_json,
-       service_json + "\n",
-       {}});
+  summary.json.field("mismatches", failed.size())
+      .key("service").raw(service_json);
+  summary.text = service_json + "\n";
+  return mfm::cli::finish("mfm_serve", sink, failed, summary);
 }

@@ -103,8 +103,8 @@ int main(int argc, char** argv) {
     total_removed += r.removed;
   }
   const std::string total = std::to_string(total_removed);
-  summary.json = "\"total_gates_removed\":" + total +
-                 ",\"failures\":" + std::to_string(summary.failures.size());
+  summary.json.field("total_gates_removed", total_removed)
+      .field("failures", summary.failures.size());
   summary.text = "total gates removed: " + total + "\n";
   if (total_removed < static_cast<std::size_t>(cli.min_total_removed))
     summary.failures.push_back("total gates removed " + total +
