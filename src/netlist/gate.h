@@ -12,6 +12,7 @@
 #include <array>
 #include <cstdint>
 #include <string_view>
+#include <type_traits>
 
 namespace mfm::netlist {
 
@@ -116,15 +117,19 @@ constexpr bool eval_gate(GateKind k, bool a, bool b, bool c, bool d = false) {
 }
 
 /// Word-level evaluation of one gate: every operator of eval_gate()
-/// lifted to 64 lanes with bitwise arithmetic (PackSim and the sweep's
-/// cone evaluator).
-constexpr std::uint64_t eval_gate_word(GateKind k, std::uint64_t a,
-                                       std::uint64_t b, std::uint64_t c,
-                                       std::uint64_t d) {
+/// lifted to bitwise arithmetic on a word type.  PackSim and the fault
+/// campaign pass std::uint64_t words (64 lanes) by value.  The sweep's
+/// cone tape passes blocks of such words, whose operators loop over the
+/// block, as W = const Block&: one switch per gate then selects a case
+/// whose operators are lane loops, and no block is copied on the way in.
+template <typename W>
+constexpr std::remove_cvref_t<W> eval_gate_word(GateKind k, W a, W b, W c,
+                                                W d) {
+  using Word = std::remove_cvref_t<W>;
   switch (k) {
-    case GateKind::Const0: return 0;
-    case GateKind::Const1: return ~0ull;
-    case GateKind::Input:  return 0;  // driven externally
+    case GateKind::Const0: return Word{};
+    case GateKind::Const1: return ~Word{};
+    case GateKind::Input:  return Word{};  // driven externally
     case GateKind::Buf:    return a;
     case GateKind::Not:    return ~a;
     case GateKind::And2:   return a & b;
@@ -145,7 +150,7 @@ constexpr std::uint64_t eval_gate_word(GateKind k, std::uint64_t a,
     case GateKind::Mux2:   return (c & b) | (~c & a);
     case GateKind::Dff:    return a;  // the simulators drive flops from state
   }
-  return 0;
+  return Word{};
 }
 
 /// Short human-readable cell name (for reports and dumps).

@@ -1,6 +1,7 @@
 #include "netlist/sweep.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <random>
 #include <sstream>
@@ -30,51 +31,115 @@ bool is_cut(const Circuit& c, const PinMap& pinned, NetId n) {
          k == GateKind::Const0 || k == GateKind::Const1;
 }
 
-/// Scratch shared across the many confirmation calls of one sweep
-/// (stamp-based visited marks avoid re-zeroing O(n) arrays per pair).
-struct ConeScratch {
-  std::vector<std::uint32_t> stamp;
-  std::vector<std::uint32_t> lidx;  // net -> dense local index
-  std::uint32_t epoch = 0;
-  std::vector<NetId> cone;  // non-cut gates, topological (ascending id)
-  std::vector<NetId> vars;  // free support: unpinned inputs + flop outputs
-  std::vector<NetId> cuts;  // constant cut nets (consts + pinned)
-  std::vector<std::uint64_t> val;  // local index -> 64-lane word
+/// Passes per walk of the cone tape: each tape op evaluates its gate
+/// over this many 64-lane passes at once.
+constexpr std::size_t kWalkPasses = 16;
+
+/// One net's words over the passes of a walk (w[j] = pass j of the walk).
+/// Its operators run lane by lane, which is all eval_gate_word needs of a
+/// word type.  w has no initializer, so an operator does not zero the
+/// result it overwrites; Block{} and vector growth still zero it.
+struct Block {
+  std::array<std::uint64_t, kWalkPasses> w;
+
+  friend Block operator~(const Block& x) {
+    Block r;
+    for (std::size_t l = 0; l < kWalkPasses; ++l) r.w[l] = ~x.w[l];
+    return r;
+  }
+  friend Block operator&(const Block& x, const Block& y) {
+    Block r;
+    for (std::size_t l = 0; l < kWalkPasses; ++l) r.w[l] = x.w[l] & y.w[l];
+    return r;
+  }
+  friend Block operator|(const Block& x, const Block& y) {
+    Block r;
+    for (std::size_t l = 0; l < kWalkPasses; ++l) r.w[l] = x.w[l] | y.w[l];
+    return r;
+  }
+  friend Block operator^(const Block& x, const Block& y) {
+    Block r;
+    for (std::size_t l = 0; l < kWalkPasses; ++l) r.w[l] = x.w[l] ^ y.w[l];
+    return r;
+  }
 };
 
-/// Gathers the combined cone of @p a and @p b up to the cut frontier.
+/// One cone gate of a compiled pair: its kind and value slots.  Unused
+/// fan-in pins read slot 0, which eval_gate_word ignores.
+struct TapeOp {
+  GateKind kind;
+  std::uint32_t out;
+  std::array<std::uint32_t, 4> in;
+};
+
+/// Scratch shared across the many confirmation calls of one sweep
+/// (stamp-based visited marks avoid re-zeroing O(n) arrays per pair).
+/// Everything a pair compiles lives here, so concurrent sweeps share
+/// nothing.
+struct ConeScratch {
+  /// Per-net state, one record per net so a visit touches one line.
+  struct Mark {
+    std::uint32_t stamp = 0;  // epoch of the last gather that reached it
+    std::uint32_t slot = 0;   // value slot in this pair's tape
+    std::uint32_t reads = 0;  // cone pins reading it, not yet compiled
+  };
+  struct Frame {
+    NetId net;
+    int pin;  // next fan-in pin to visit
+  };
+  std::vector<Mark> mark;
+  std::uint32_t epoch = 0;
+  std::vector<Frame> frames;  // gather_cone's depth-first stack
+  std::vector<NetId> vars;    // free support: unpinned inputs + flop outputs
+  std::vector<NetId> cuts;    // constant cut nets (consts + pinned)
+  std::vector<std::uint32_t> free_slots;
+  std::vector<TapeOp> tape;   // one op per cone gate, topological
+  std::vector<Block> val;     // slot -> words of the current walk
+};
+
+/// Gathers the combined cone of @p a and @p b up to the cut frontier by
+/// a depth-first post-order walk, so s.tape holds the cone's gates in
+/// topological order (output and inputs as net ids until compile_tape)
+/// and each reached net's mark counts the cone pins that read it (a root
+/// counts one more).  The support is sorted ascending: its order decides
+/// which random word each variable gets.
 void gather_cone(const Circuit& c, const PinMap& pinned, NetId a, NetId b,
                  ConeScratch& s) {
-  s.cone.clear();
+  s.tape.clear();
   s.vars.clear();
   s.cuts.clear();
   ++s.epoch;
-  std::vector<NetId> stack{a, b};
-  s.stamp[a] = s.epoch;
-  if (a != b) s.stamp[b] = s.epoch;
-  while (!stack.empty()) {
-    const NetId n = stack.back();
-    stack.pop_back();
-    if (is_cut(c, pinned, n)) {
-      const GateKind k = c.gate(n).kind;
-      if (pinned[n] != 0 || k == GateKind::Const0 || k == GateKind::Const1)
-        s.cuts.push_back(n);
-      else
-        s.vars.push_back(n);
-      continue;
+  const auto visit = [&](NetId n) {
+    ConeScratch::Mark& m = s.mark[n];
+    if (m.stamp == s.epoch) {
+      ++m.reads;
+      return;
     }
-    s.cone.push_back(n);
-    const Gate& g = c.gate(n);
-    const int nin = fanin_count(g.kind);
-    for (int p = 0; p < nin; ++p) {
-      const NetId f = g.in[static_cast<std::size_t>(p)];
-      if (s.stamp[f] != s.epoch) {
-        s.stamp[f] = s.epoch;
-        stack.push_back(f);
+    m.stamp = s.epoch;
+    m.reads = 1;
+    if (!is_cut(c, pinned, n)) {
+      s.frames.push_back({n, 0});
+      return;
+    }
+    const GateKind k = c.gate(n).kind;
+    if (pinned[n] != 0 || k == GateKind::Const0 || k == GateKind::Const1)
+      s.cuts.push_back(n);
+    else
+      s.vars.push_back(n);
+  };
+  for (const NetId root : {a, b}) {
+    visit(root);
+    while (!s.frames.empty()) {
+      ConeScratch::Frame& f = s.frames.back();
+      const Gate& g = c.gate(f.net);
+      if (f.pin < fanin_count(g.kind)) {
+        visit(g.in[static_cast<std::size_t>(f.pin++)]);  // may reallocate
+      } else {
+        s.tape.push_back({g.kind, f.net, g.in});
+        s.frames.pop_back();
       }
     }
   }
-  std::sort(s.cone.begin(), s.cone.end());
   std::sort(s.vars.begin(), s.vars.end());
 }
 
@@ -84,44 +149,84 @@ std::uint64_t cut_word(const Circuit& c, const PinMap& pinned, NetId n) {
   return c.gate(n).kind == GateKind::Const1 ? ~0ull : 0;
 }
 
-/// The cone evaluator: evaluates the cone gathered in @p s over
-/// @p passes 64-lane assignments of its free support, where
-/// support_word(pass, i) is the word of s.vars[i] in that pass.  Returns
-/// true as soon as a lane in @p valid sets @p a and @p b apart -- a
-/// witness that the pair is not equivalent.
-template <typename SupportWord>
-bool cone_differs(const Circuit& c, const PinMap& pinned, NetId a, NetId b,
-                  std::uint64_t passes, std::uint64_t valid,
-                  SupportWord support_word, ConeScratch& s) {
-  // Dense local indices: the support first (so vars[i] is slot i), then
-  // the constant cuts, then the cone in topological order.
-  std::uint32_t next = 0;
-  for (const NetId v : s.vars) s.lidx[v] = next++;
-  for (const NetId cu : s.cuts) s.lidx[cu] = next++;
-  for (const NetId g : s.cone) s.lidx[g] = next++;
-  s.val.resize(next);
-  for (const NetId cu : s.cuts) s.val[s.lidx[cu]] = cut_word(c, pinned, cu);
-
-  for (std::uint64_t pass = 0; pass < passes; ++pass) {
-    for (std::size_t i = 0; i < s.vars.size(); ++i)
-      s.val[i] = support_word(pass, i);
-    for (const NetId n : s.cone) {
-      const Gate& g = c.gate(n);
-      const int nin = fanin_count(g.kind);
-      const std::uint64_t wa = nin > 0 ? s.val[s.lidx[g.in[0]]] : 0;
-      const std::uint64_t wb = nin > 1 ? s.val[s.lidx[g.in[1]]] : 0;
-      const std::uint64_t wc = nin > 2 ? s.val[s.lidx[g.in[2]]] : 0;
-      const std::uint64_t wd = nin > 3 ? s.val[s.lidx[g.in[3]]] : 0;
-      s.val[s.lidx[n]] = eval_gate_word(g.kind, wa, wb, wc, wd);
+/// Compiles the gathered tape from net ids to value slots.  The support
+/// takes slots 0..k-1 (vars[i] is slot i) and the constant cuts the next
+/// ones, filled here for the whole pair.  A cone gate's slot is recycled
+/// after its last reader, except those of @p a and @p b, which the
+/// comparison reads; an op may write the slot of an input it frees, since
+/// it reads all its inputs first.  s.val is sized by the live width.
+void compile_tape(const Circuit& c, const PinMap& pinned, NetId a, NetId b,
+                  ConeScratch& s) {
+  std::uint32_t width = 0;
+  for (const NetId v : s.vars) s.mark[v].slot = width++;
+  for (const NetId cu : s.cuts) s.mark[cu].slot = width++;
+  const std::uint32_t fixed = width;
+  s.free_slots.clear();
+  for (TapeOp& op : s.tape) {
+    const int nin = fanin_count(op.kind);
+    for (int p = 0; p < 4; ++p) {
+      std::uint32_t& in = op.in[static_cast<std::size_t>(p)];
+      if (p >= nin) {
+        in = 0;
+        continue;
+      }
+      const NetId f = in;
+      ConeScratch::Mark& m = s.mark[f];
+      in = m.slot;
+      if (--m.reads == 0 && m.slot >= fixed && f != a && f != b)
+        s.free_slots.push_back(m.slot);
     }
-    if (((s.val[s.lidx[a]] ^ s.val[s.lidx[b]]) & valid) != 0) return true;
+    const NetId n = op.out;
+    if (s.free_slots.empty()) {
+      op.out = width++;
+    } else {
+      op.out = s.free_slots.back();
+      s.free_slots.pop_back();
+    }
+    s.mark[n].slot = op.out;
+  }
+
+  s.val.resize(width);
+  for (const NetId cu : s.cuts)
+    s.val[s.mark[cu].slot].w.fill(cut_word(c, pinned, cu));
+}
+
+/// One walk of the tape: every cone gate over all kWalkPasses passes.
+/// flatten inlines eval_gate_word and the Block operators into the loop;
+/// GCC otherwise calls the 22-case switch out of line for every op.
+[[gnu::flatten]] void run_tape(ConeScratch& s) {
+  for (const TapeOp& op : s.tape)
+    s.val[op.out] = eval_gate_word<const Block&>(
+        op.kind, s.val[op.in[0]], s.val[op.in[1]], s.val[op.in[2]],
+        s.val[op.in[3]]);
+}
+
+/// The cone evaluator: runs the tape compiled in @p s over @p passes
+/// 64-lane assignments of its free support, kWalkPasses passes per walk.
+/// fill(first, lanes) writes the support words of passes first ..
+/// first + lanes - 1 into lanes 0 .. lanes - 1 of slots 0..k-1.  Returns
+/// true after the first walk in which a pass sets @p a and @p b apart on
+/// a lane in @p valid -- a witness that the pair is not equivalent.
+template <typename FillSupport>
+bool cone_differs(NetId a, NetId b, std::uint64_t passes,
+                  std::uint64_t valid, FillSupport fill, ConeScratch& s) {
+  const std::uint32_t sa = s.mark[a].slot, sb = s.mark[b].slot;
+  for (std::uint64_t first = 0; first < passes; first += kWalkPasses) {
+    const std::size_t lanes = static_cast<std::size_t>(
+        std::min<std::uint64_t>(kWalkPasses, passes - first));
+    fill(first, lanes);
+    run_tape(s);
+    std::uint64_t diff = 0;
+    for (std::size_t l = 0; l < lanes; ++l)
+      diff |= s.val[sa].w[l] ^ s.val[sb].w[l];
+    if ((diff & valid) != 0) return true;
   }
   return false;
 }
 
 enum class ConfirmOutcome { kProven, kRefuted, kUnresolved };
 
-/// Exact confirmation of one candidate pair on its gathered cone.  A
+/// Exact confirmation of one candidate pair on its compiled cone.  A
 /// free support of at most exhaustive_support_limit variables is
 /// evaluated over every assignment, 64 per pass: proven or refuted.  A
 /// wider support gets random_refute_passes passes of random assignments,
@@ -129,8 +234,10 @@ enum class ConfirmOutcome { kProven, kRefuted, kUnresolved };
 ConfirmOutcome confirm_pair(const Circuit& c, const PinMap& pinned, NetId a,
                             NetId b, const SweepOptions& opt,
                             ConeScratch& s) {
-  const int k = static_cast<int>(s.vars.size());
-  if (k <= opt.exhaustive_support_limit) {
+  gather_cone(c, pinned, a, b, s);
+  compile_tape(c, pinned, a, b, s);
+  const std::size_t k = s.vars.size();
+  if (static_cast<int>(k) <= opt.exhaustive_support_limit) {
     static constexpr std::uint64_t kPat[6] = {
         0xAAAAAAAAAAAAAAAAull, 0xCCCCCCCCCCCCCCCCull, 0xF0F0F0F0F0F0F0F0ull,
         0xFF00FF00FF00FF00ull, 0xFFFF0000FFFF0000ull, 0xFFFFFFFF00000000ull};
@@ -138,9 +245,13 @@ ConfirmOutcome confirm_pair(const Circuit& c, const PinMap& pinned, NetId a,
     const std::uint64_t valid =
         k >= 6 ? ~0ull : ((1ull << (1u << k)) - 1);
     const bool differs = cone_differs(
-        c, pinned, a, b, passes, valid,
-        [](std::uint64_t pass, std::size_t i) -> std::uint64_t {
-          return i < 6 ? kPat[i] : ((pass >> (i - 6)) & 1 ? ~0ull : 0);
+        a, b, passes, valid,
+        [&s, k](std::uint64_t first, std::size_t) {
+          for (std::size_t i = 0; i < k; ++i)
+            for (std::size_t l = 0; l < kWalkPasses; ++l)
+              s.val[i].w[l] = i < 6 ? kPat[i]
+                              : ((first + l) >> (i - 6)) & 1 ? ~0ull
+                                                               : 0;
         },
         s);
     return differs ? ConfirmOutcome::kRefuted : ConfirmOutcome::kProven;
@@ -148,9 +259,13 @@ ConfirmOutcome confirm_pair(const Circuit& c, const PinMap& pinned, NetId a,
   std::mt19937_64 rng(opt.seed ^ (0x9E3779B97F4A7C15ull * (a + 1)) ^
                       (0xC2B2AE3D27D4EB4Full * (b + 1)));
   const bool differs = cone_differs(
-      c, pinned, a, b,
-      static_cast<std::uint64_t>(std::max(opt.random_refute_passes, 0)),
-      ~0ull, [&rng](std::uint64_t, std::size_t) { return rng(); }, s);
+      a, b, static_cast<std::uint64_t>(std::max(opt.random_refute_passes, 0)),
+      ~0ull,
+      [&s, &rng, k](std::uint64_t, std::size_t lanes) {
+        for (std::size_t l = 0; l < lanes; ++l)  // pass-major, support-minor
+          for (std::size_t i = 0; i < k; ++i) s.val[i].w[l] = rng();
+      },
+      s);
   return differs ? ConfirmOutcome::kRefuted : ConfirmOutcome::kUnresolved;
 }
 
@@ -268,8 +383,7 @@ SweepResult sweep_circuit(const Circuit& c, const SweepOptions& opt,
     if (strash.rep[net] == net) groups[sig[net]].push_back(net);
 
   ConeScratch scratch;
-  scratch.stamp.assign(n, 0);
-  scratch.lidx.assign(n, 0);
+  scratch.mark.resize(n);
 
   // Iterate groups in leader order so results are deterministic
   // (unordered_map iteration order is not).
@@ -299,7 +413,6 @@ SweepResult sweep_circuit(const Circuit& c, const SweepOptions& opt,
       bool placed = false;
       for (const NetId leader : reps) {
         ++rep.candidates;
-        gather_cone(c, pinned, leader, m, scratch);
         const ConfirmOutcome out =
             confirm_pair(c, pinned, leader, m, opt, scratch);
         if (out == ConfirmOutcome::kProven) {

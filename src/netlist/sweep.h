@@ -19,7 +19,9 @@
 //      exhaustive 64-lane evaluation proves or refutes a pair whose free
 //      support is small; a wider pair can only be refuted, by random
 //      cone passes -- one it survives is unresolved and stays unmerged,
-//      never wrongly merged;
+//      never wrongly merged.  Each pair's cone is compiled once into a
+//      flat tape of gate records over recycled value slots, which then
+//      runs its passes 16 at a time (one walk);
 //   4. merge proven classes through Circuit::merge_rewrite() -- fan-ins
 //      rewired to the class leader, dead cones swept -- and re-verify
 //      the merged netlist against the original with check_equivalence
@@ -57,13 +59,16 @@ struct SweepOptions {
 
   /// Candidate pairs whose combined cone has at most this many free
   /// support variables (unpinned inputs + flop outputs) are proven or
-  /// refuted by exhaustive 64-lane cone evaluation.
+  /// refuted by exhaustive 64-lane cone evaluation: 2^(k-6) passes for
+  /// k > 6 variables, run 16 per walk of the cone tape.
   int exhaustive_support_limit = 14;
   /// Wider-support pairs get this many random 64-lane passes over just
-  /// the pair's cone.  They can only refute: a pair that survives them
-  /// counts as unresolved and stays unmerged.  In the shipped
-  /// generators every merge beyond strash comes from the ternary or
-  /// exhaustive stages; the survivors are near-miss non-equivalences.
+  /// the pair's cone, run 16 per walk; a last, partial walk compares
+  /// only its valid passes, so the count need not be a multiple of 16.
+  /// They can only refute: a pair that survives them counts as
+  /// unresolved and stays unmerged.  In the shipped generators every
+  /// merge beyond strash comes from the ternary or exhaustive stages;
+  /// the survivors are near-miss non-equivalences.
   int random_refute_passes = 96;
 
   /// Re-verify the merged circuit against the original.

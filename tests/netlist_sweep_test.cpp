@@ -146,6 +146,107 @@ TEST(Sweep, SignatureCollisionRefutedExhaustively) {
   EXPECT_TRUE(res.report.verified) << res.report.counterexample;
 }
 
+// ---- pass-block edges of the cone evaluator --------------------------------
+//
+// The confirmation stage runs a pair's passes 16 at a time.  Each needle
+// below fires in exactly one pass of its pair's cone, placed at an edge
+// of that blocking; the counts are pinned so a loop that drops, repeats
+// or misreads a pass moves them.
+
+TEST(Sweep, ExhaustiveNeedleInLastPassIsRefuted) {
+  // 14 free inputs, the exhaustive limit: 256 passes of 64 lanes, where
+  // x[6..13] count the pass.  x[6..13] all ones puts the only hit of the
+  // pair (comparator, const0) in pass 255, the last lane of the last walk.
+  Circuit c;
+  const Bus x = c.input_bus("x", 14);
+  const NetId eq = needle_comparator(c, x, 0x3FDAu);
+  c.output("eq", eq);
+  const SweepResult res = sweep_circuit(c, {});
+  EXPECT_GE(res.report.candidates, 1u) << "signature did not collide";
+  EXPECT_EQ(res.report.candidates, 13u);
+  EXPECT_EQ(res.report.refuted, 13u);
+  EXPECT_EQ(res.report.proven_exhaustive, 0u);
+  EXPECT_EQ(res.report.unresolved, 0u);
+  EXPECT_EQ(res.leader[eq], eq) << "comparator was merged into a constant";
+  EXPECT_TRUE(res.report.verified) << res.report.counterexample;
+}
+
+TEST(Sweep, ExhaustiveNeedleInSecondOfTwoPasses) {
+  // 7 free inputs: 2 passes, less than one walk.  x[6] = 1 puts the only
+  // hit in pass 1.  Without random signature rounds the directed
+  // patterns (all zeros, all ones, one-hot) miss the needle.
+  Circuit c;
+  const Bus x = c.input_bus("x", 7);
+  const NetId eq = needle_comparator(c, x, 0x4Bu);
+  c.output("eq", eq);
+  SweepOptions opt;
+  opt.signature_rounds = 0;
+  const SweepResult res = sweep_circuit(c, opt);
+  EXPECT_GE(res.report.candidates, 1u) << "signature did not collide";
+  EXPECT_EQ(res.report.candidates, 15u);
+  EXPECT_EQ(res.report.refuted, 15u);
+  EXPECT_EQ(res.report.proven_exhaustive, 0u);
+  EXPECT_EQ(res.report.unresolved, 0u);
+  EXPECT_EQ(res.leader[eq], eq) << "comparator was merged into a constant";
+  EXPECT_TRUE(res.report.verified) << res.report.counterexample;
+}
+
+TEST(Sweep, RandomPassCountsOffTheBlockSize) {
+  // The WideSupportCollisionRefutedByRandomPasses circuit at pass counts
+  // that are not multiples of 16: 1 (less than one walk), 17 (one pass
+  // into the second walk) and 2047 (one short of 128 walks).  The first
+  // hit of the pair (g, const0) under the default seed is pass 234, lane
+  // 10 of walk 14: 234 passes leave it unresolved, 235 refute it (and g
+  // is then refuted against every other leader of its class too).
+  Circuit c;
+  const Bus x = c.input_bus("x", 16);
+  const NetId needle =
+      needle_comparator(c, Bus(x.begin(), x.begin() + 12), 0xA6Du);
+  const NetId g = c.and2(
+      needle, c.xor2(c.xor2(x[12], x[13]), c.xor2(x[14], x[15])));
+  c.output("g", g);
+  SweepOptions opt;
+  opt.signature_rounds = 1;
+  struct Pinned {
+    int passes;
+    std::size_t refuted, unresolved;
+  };
+  for (const Pinned& p : {Pinned{1, 28, 1}, Pinned{17, 28, 1},
+                          Pinned{234, 28, 1}, Pinned{235, 36, 0},
+                          Pinned{2047, 36, 0}}) {
+    opt.random_refute_passes = p.passes;
+    const SweepResult res = sweep_circuit(c, opt);
+    EXPECT_GE(res.report.candidates, 1u) << p.passes;
+    EXPECT_EQ(res.report.refuted, p.refuted) << p.passes;
+    EXPECT_EQ(res.report.unresolved, p.unresolved) << p.passes;
+    EXPECT_EQ(res.leader[g], g) << p.passes;
+    EXPECT_TRUE(res.report.verified) << res.report.counterexample;
+  }
+}
+
+TEST(Sweep, FlopOutputInExhaustiveSupport) {
+  // 13 inputs and one flop output q = D(x[0]): a 14-variable support in
+  // which q, the highest net id, is variable 13, i.e. bit 7 of the pass
+  // number.  The needle needs q = 1 and x[12..6] = 0110101: pass 181,
+  // lane 5 of walk 11.
+  Circuit c;
+  const Bus x = c.input_bus("x", 13);
+  const NetId q = c.dff(x[0]);
+  Bus bits = x;
+  bits.push_back(q);
+  const NetId eq = needle_comparator(c, bits, 0x2D6Du);
+  c.output("eq", eq);
+  const SweepResult res = sweep_circuit(c, {});
+  EXPECT_GE(res.report.candidates, 1u) << "signature did not collide";
+  EXPECT_EQ(res.report.candidates, 11u);
+  EXPECT_EQ(res.report.refuted, 11u);
+  EXPECT_EQ(res.report.proven_exhaustive, 0u);
+  EXPECT_EQ(res.report.unresolved, 0u);
+  EXPECT_EQ(res.leader[eq], eq) << "comparator was merged into a constant";
+  ASSERT_TRUE(res.report.verify_ran);
+  EXPECT_TRUE(res.report.verified) << res.report.counterexample;
+}
+
 // ---- pinned-mode merges ----------------------------------------------------
 
 TEST(Sweep, PinnedConstantMergesOnlyUnderPins) {
