@@ -46,7 +46,7 @@ int main() {
   bench::Table t;
   t.row({"block", "gates", "area [NAND2]", "settles at [ps]"});
   netlist::Sta sta(*unit.circuit, lib);
-  const auto areas = netlist::area_by_module(*unit.circuit, lib, 2);
+  const auto areas = netlist::area_by_module(*unit.circuit, lib);
   for (const char* blk :
        {"top/recoder", "top/precomp", "top/ppgen", "top/tree", "top/cpa"}) {
     const auto it = areas.find(blk);

@@ -98,7 +98,7 @@ int main() {
   mf::MfOptions opt;
   opt.pipeline = mf::MfPipeline::Combinational;
   const auto u = mf::build_mf_unit(opt);
-  const auto areas = netlist::area_by_module(*u.circuit, lib, 2);
+  const auto areas = netlist::area_by_module(*u.circuit, lib);
   bench::Table t;
   t.row({"block", "area [NAND2]", "gates"});
   for (const char* blk : {"top/round", "top/norm"}) {

@@ -20,7 +20,7 @@ void report(const char* name, const mf::MfUnit& u, const char* note) {
   std::printf("  flops: %zu   gates: %zu\n", u.circuit->flops().size(),
               u.circuit->size());
   std::printf("  critical path:");
-  for (const auto& s : sta.critical_path(2).segments)
+  for (const auto& s : sta.critical_path().segments)
     std::printf("  %s %.0fps", s.module.c_str(), s.delay_ps);
   std::printf("\n");
 }

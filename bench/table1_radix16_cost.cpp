@@ -21,7 +21,7 @@ int main() {
               "PPGEN 258, TREE 571, CPA 445 = 1852):\n");
   bench::Table cp;
   cp.row({"block", "measured [ps]", "gates on path"});
-  const auto path = sta.critical_path(2);
+  const auto path = sta.critical_path();
   for (const auto& s : path.segments)
     cp.row({s.module, bench::fmt("%.0f", s.delay_ps),
             std::to_string(s.gates)});
@@ -42,7 +42,7 @@ int main() {
   bench::Table a;
   a.row({"block", "NAND2", "gates"});
   for (const auto& [m, ma] :
-       netlist::area_by_module(*unit.circuit, lib, 2))
+       netlist::area_by_module(*unit.circuit, lib))
     a.row({m, bench::fmt("%.0f", ma.area_nand2), std::to_string(ma.gates)});
   a.print();
   return 0;

@@ -24,7 +24,7 @@ int main() {
               "CPA 454 = 1506):\n");
   bench::Table cp;
   cp.row({"block", "measured [ps]", "gates on path"});
-  for (const auto& s : sta4.critical_path(2).segments)
+  for (const auto& s : sta4.critical_path().segments)
     cp.row({s.module, bench::fmt("%.0f", s.delay_ps),
             std::to_string(s.gates)});
   cp.print();

@@ -65,12 +65,12 @@ void deep_report(const char* name, const netlist::Circuit& c) {
   std::printf("== %s ==\n", name);
   netlist::Sta sta(c, lib);
   std::printf("critical path (%.0f ps):\n", sta.max_delay_ps());
-  for (const auto& s : sta.critical_path(2).segments)
+  for (const auto& s : sta.critical_path().segments)
     std::printf("  %-20s %6.0f ps (%d cells)\n", s.module.c_str(),
                 s.delay_ps, s.gates);
   std::printf("area by module:\n");
   for (const auto& [m, ma] :
-       netlist::area_by_module(c, lib, 2))
+       netlist::area_by_module(c, lib))
     std::printf("  %-20s %8.0f NAND2  %6zu gates\n", m.c_str(),
                 ma.area_nand2, ma.gates);
   std::printf("cell histogram:\n%s",

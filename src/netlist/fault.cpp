@@ -67,13 +67,9 @@ namespace {
 /// -1 = free input, 0/1 = pinned value.
 std::vector<std::int8_t> pin_map(const Circuit& c,
                                  const std::vector<TernaryPin>& pins) {
+  check_pins(c, pins, "FaultVectors");
   std::vector<std::int8_t> pin(c.size(), -1);
-  for (const TernaryPin& p : pins) {
-    if (p.net >= c.size())
-      throw std::invalid_argument("FaultVectors: pin net " +
-                                  std::to_string(p.net) + " out of range");
-    pin[p.net] = p.value ? 1 : 0;
-  }
+  for (const TernaryPin& p : pins) pin[p.net] = p.value ? 1 : 0;
   return pin;
 }
 

@@ -97,13 +97,14 @@ std::vector<FaultSite> enumerate_transient_faults(const Circuit& c);
 class FaultVectors {
  public:
   /// @p count vectors for the primary inputs of @p c under @p pins.
-  /// Throws std::invalid_argument when a pin names a net outside @p c.
+  /// Throws std::invalid_argument when a pin does not name a primary
+  /// input of @p c (check_pins).
   FaultVectors(const Circuit& c, std::size_t count, std::uint64_t seed,
                const std::vector<TernaryPin>& pins = {});
 
   /// Exhaustive set: every assignment of the free (un-pinned) primary
   /// inputs.  Throws std::invalid_argument beyond 16 free inputs or on
-  /// an out-of-range pin net.
+  /// a pin that does not name a primary input.
   static FaultVectors exhaustive(const Circuit& c,
                                  const std::vector<TernaryPin>& pins = {});
 

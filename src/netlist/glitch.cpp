@@ -8,7 +8,6 @@
 #include <numeric>
 #include <random>
 #include <sstream>
-#include <stdexcept>
 
 #include "netlist/power.h"
 #include "netlist/report.h"
@@ -18,6 +17,7 @@ namespace mfm::netlist {
 GlitchReport analyze_glitch(const CompiledCircuit& cc, const TechLib& lib,
                             const GlitchOptions& options) {
   const Circuit& c = cc.circuit();
+  check_pins(c, options.pins, "analyze_glitch");
   const TernaryResult tern = ternary_propagate(cc, options.pins);
   const PowerModel pm(c, lib);
 
@@ -92,8 +92,7 @@ GlitchReport analyze_glitch(const CompiledCircuit& cc, const TechLib& lib,
   std::map<std::string, GlitchModule> modules;
   for (NetId i = 0; i < cc.size(); ++i) {
     if (rep.score[i] <= 0.0) continue;
-    const std::string label =
-        truncate_module(c.module_path(c.gate(i).module), options.module_depth);
+    const std::string label = truncate_module(c.module_path(c.gate(i).module));
     GlitchModule& m = modules[label];
     m.path = label;
     m.score += rep.score[i];
@@ -128,8 +127,7 @@ GlitchReport analyze_glitch(const CompiledCircuit& cc, const TechLib& lib,
     h.score = rep.score[n];
     h.energy_fj = rep.energy_fj[n];
     h.window_ps = rep.window_ps[n];
-    h.module =
-        truncate_module(c.module_path(c.gate(n).module), options.module_depth);
+    h.module = truncate_module(c.module_path(c.gate(n).module));
     rep.hot.push_back(std::move(h));
   }
   return rep;
@@ -154,13 +152,10 @@ MeasuredGlitch measure_glitch(const CompiledCircuit& cc, const TechLib& lib,
                               const std::vector<TernaryPin>& pins, int cycles,
                               std::uint64_t seed) {
   const Circuit& c = cc.circuit();
+  check_pins(c, pins, "measure_glitch");
   EventSim sim(cc, lib);
   std::vector<std::uint8_t> pinned(cc.size(), 0);
   for (const TernaryPin& p : pins) {
-    if (p.net >= c.size() || c.gate(p.net).kind != GateKind::Input)
-      throw std::invalid_argument("measure_glitch: pin net " +
-                                  std::to_string(p.net) +
-                                  " is not a primary input");
     pinned[p.net] = 1;
     sim.set(p.net, p.value);
   }

@@ -38,9 +38,8 @@ struct GlitchOptions {
   /// Control-net constraints (e.g. "frmt = fp32x2").  Nets the pins make
   /// statically constant cannot toggle and score zero, so the static
   /// scores are mode-aware like every other analysis in the stack.
+  /// Each must name a primary input (check_pins).
   std::vector<TernaryPin> pins;
-  /// Module labels are truncated to this many path components.
-  int module_depth = 2;
   /// Length of the ranked hot-net list.
   int max_hot = 20;
 };
@@ -51,7 +50,7 @@ struct GlitchHotNet {
   double score = 0.0;      ///< bounded extra transitions per cycle
   double energy_fj = 0.0;  ///< score x toggle energy of the net
   double window_ps = 0.0;  ///< arrival-window width at the net
-  std::string module;      ///< truncated module path
+  std::string module;      ///< truncated module path (truncate_module)
 };
 
 /// Static glitch aggregate of one module label.
@@ -78,6 +77,7 @@ struct GlitchReport {
 };
 
 /// Runs the static window/bound propagation over a shared compilation.
+/// Throws std::invalid_argument when a pin does not name a primary input.
 GlitchReport analyze_glitch(const CompiledCircuit& cc, const TechLib& lib,
                             const GlitchOptions& options = {});
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cstdio>
-#include <optional>
 #include <sstream>
 
 #include "netlist/compiled.h"
@@ -42,11 +41,10 @@ namespace {
 using enum Tern;
 
 /// Bounded findings collector: severity counters stay exact; at most
-/// max_per_rule messages per rule are materialized.
+/// kMaxFindingsPerRule messages per rule are materialized.
 class Findings {
  public:
-  Findings(LintReport& report, int max_per_rule)
-      : report_(report), max_per_rule_(max_per_rule) {}
+  explicit Findings(LintReport& report) : report_(report) {}
 
   void add(LintRule rule, LintSeverity sev, NetId net, std::string msg) {
     switch (sev) {
@@ -55,14 +53,13 @@ class Findings {
       case LintSeverity::kInfo: ++report_.infos; break;
     }
     int& n = emitted_[static_cast<std::size_t>(rule)];
-    if (max_per_rule_ >= 0 && n >= max_per_rule_) return;
+    if (n >= kMaxFindingsPerRule) return;
     ++n;
     report_.findings.push_back({rule, sev, net, std::move(msg)});
   }
 
  private:
   LintReport& report_;
-  int max_per_rule_;
   std::array<int, 8> emitted_{};
 };
 
@@ -77,11 +74,13 @@ std::string net_label(const Circuit& c, NetId n) {
 
 // ---- structure rule --------------------------------------------------------
 //
-// The invariants previously enforced by verify_circuit(); violations make
-// the other rules meaningless (and unsafe to run), so lint_circuit()
-// gates on this rule's error count.
+// The invariants verify_circuit() reports; violations make the other
+// rules meaningless (and unsafe to run), so lint_circuit() gates on this
+// rule's error count.  @p violation(net, message) is called once per
+// violation, with net = kNoNet when no one gate is at fault.
 
-CircuitStats check_structure(const Circuit& c, Findings& out) {
+template <typename Violation>
+CircuitStats check_structure(const Circuit& c, Violation&& violation) {
   CircuitStats st;
   st.gates = c.size();
 
@@ -114,19 +113,18 @@ CircuitStats check_structure(const Circuit& c, Findings& out) {
       const NetId in = g.in[static_cast<std::size_t>(p)];
       if (p < nin) {
         if (in == kNoNet || in >= i) {
-          out.add(LintRule::kStructure, LintSeverity::kError, i,
-                  "gate " + std::to_string(i) + " (" +
-                      std::string(gate_name(g.kind)) + "): fan-in " +
-                      std::to_string(p) + " invalid or not topological");
+          violation(i, "gate " + std::to_string(i) + " (" +
+                           std::string(gate_name(g.kind)) + "): fan-in " +
+                           std::to_string(p) + " invalid or not topological");
           continue;
         }
         driven[in] = 1;
         if (g.kind != GateKind::Dff) d = std::max(d, depth[in]);
       } else if (in != kNoNet) {
-        out.add(LintRule::kStructure, LintSeverity::kError, i,
-                "gate " + std::to_string(i) + " (" +
-                    std::string(gate_name(g.kind)) + "): unused fan-in slot " +
-                    std::to_string(p) + " not kNoNet");
+        violation(i, "gate " + std::to_string(i) + " (" +
+                         std::string(gate_name(g.kind)) +
+                         "): unused fan-in slot " + std::to_string(p) +
+                         " not kNoNet");
       }
     }
     const bool is_source = nin == 0 || g.kind == GateKind::Dff;
@@ -135,19 +133,16 @@ CircuitStats check_structure(const Circuit& c, Findings& out) {
   }
 
   if (flops_seen != c.flops().size())
-    out.add(LintRule::kStructure, LintSeverity::kError, kNoNet,
-            "flop list out of sync with gate list");
+    violation(kNoNet, "flop list out of sync with gate list");
   if (inputs_seen != c.primary_inputs().size())
-    out.add(LintRule::kStructure, LintSeverity::kError, kNoNet,
-            "input list out of sync with gate list");
+    violation(kNoNet, "input list out of sync with gate list");
 
   auto check_ports = [&](const auto& ports, const char* kind) {
     for (const auto& [name, bus] : ports)
       for (const NetId n : bus) {
         if (n >= c.size())
-          out.add(LintRule::kStructure, LintSeverity::kError, kNoNet,
-                  std::string(kind) + " port '" + name +
-                      "' references out-of-range net");
+          violation(kNoNet, std::string(kind) + " port '" + name +
+                                "' references out-of-range net");
         else
           driven[n] = 1;
       }
@@ -333,9 +328,29 @@ std::vector<std::uint8_t> unobservable_nets(const CompiledCircuit& cc) {
   return mark;
 }
 
+CircuitStats verify_circuit(const Circuit& c,
+                            std::vector<std::string>* findings) {
+  return check_structure(c, [findings](NetId, std::string message) {
+    if (findings) findings->push_back(std::move(message));
+  });
+}
+
 LintReport lint_circuit(const Circuit& c, const LintOptions& options) {
+  check_pins(c, options.pins, "lint_circuit");
   LintReport rep;
-  Findings out(rep, options.max_findings_per_rule);
+  Findings out(rep);
+
+  // structure -- always evaluated; every other rule runs only on a
+  // structurally valid circuit.
+  rep.structure = check_structure(c, [&out](NetId n, std::string message) {
+    out.add(LintRule::kStructure, LintSeverity::kError, n, std::move(message));
+  });
+  if (rep.errors != 0) {
+    out.add(LintRule::kStructure, LintSeverity::kInfo, kNoNet,
+            "structural errors present; value-based rules skipped");
+    return rep;
+  }
+  rep.rules_ran = true;
 
   // Module accounting is filled in by each rule as it runs.
   rep.modules.resize(c.module_count());
@@ -344,18 +359,7 @@ LintReport lint_circuit(const Circuit& c, const LintOptions& options) {
   auto module_of = [&](NetId n) -> ModuleLintStats& {
     return rep.modules[c.gate(n).module];
   };
-
-  // structure -- always evaluated (the stats feed verify_circuit()); the
-  // value-based rules run only on structurally valid circuits.
-  rep.structure = check_structure(c, out);
-  const bool valid = rep.errors == 0;
-  if (!valid && (options.check_constants || options.check_duplicates ||
-                 options.check_unobservable || options.check_fanout ||
-                 !options.lanes.empty()))
-    out.add(LintRule::kStructure, LintSeverity::kInfo, kNoNet,
-            "structural errors present; value-based rules skipped");
-
-  for (NetId i = 0; valid && i < c.size(); ++i) {
+  for (NetId i = 0; i < c.size(); ++i) {
     const GateKind k = c.gate(i).kind;
     if (is_comb(k) || k == GateKind::Dff) ++module_of(i).gates;
   }
@@ -364,67 +368,55 @@ LintReport lint_circuit(const Circuit& c, const LintOptions& options) {
   // (ternary propagation, the cone-of-influence supports, backward
   // observability, fanout counts).  Built only after the structure rule
   // validated the circuit -- CompiledCircuit requires a well-formed DAG.
-  std::optional<CompiledCircuit> compiled;
-  if (valid && (options.check_constants || options.check_unobservable ||
-                options.check_fanout || options.check_fusion ||
-                options.check_glitch || !options.lanes.empty()))
-    compiled.emplace(c);
+  const CompiledCircuit compiled(c);
 
   // constant -- ternary propagation under the pins.
-  std::vector<std::uint8_t> pinned(c.size(), 0);
-  for (const TernaryPin& p : options.pins)
-    if (p.net < c.size()) pinned[p.net] = 1;
+  const TernaryResult steady = ternary_propagate(compiled, options.pins);
+  rep.blanked_gates = steady.const_comb;
+  rep.blanked0_gates = steady.const0_comb;
+  rep.active_gates = rep.structure.combinational - steady.const_comb;
+  rep.x_flops = steady.x_flops;
+  for (NetId i = 0; i < c.size(); ++i)
+    if (is_comb(c.gate(i).kind) && tern_is_const(steady.value[i]))
+      ++module_of(i).constant_gates;
 
-  TernaryResult steady;
-  if (valid && (options.check_constants || !options.lanes.empty())) {
-    steady = ternary_propagate(*compiled, options.pins);
-  }
-  if (valid && options.check_constants) {
-    rep.constant_ran = true;
-    rep.blanked_gates = steady.const_comb;
-    rep.blanked0_gates = steady.const0_comb;
-    rep.active_gates = rep.structure.combinational - steady.const_comb;
-    rep.x_flops = steady.x_flops;
-    for (NetId i = 0; i < c.size(); ++i)
-      if (is_comb(c.gate(i).kind) && tern_is_const(steady.value[i]))
-        ++module_of(i).constant_gates;
-
-    // Output bits stuck at a constant.  With no pins this is suspicious
-    // (the cone cannot depend on any input); under pins it is the
-    // expected blanking statistic.
-    const LintSeverity sev =
-        options.pins.empty() ? LintSeverity::kWarning : LintSeverity::kInfo;
-    for (const auto& [name, bus] : c.out_ports())
-      for (std::size_t b = 0; b < bus.size(); ++b)
-        if (tern_is_const(steady.value[bus[b]])) {
-          ++rep.constant_output_bits;
-          out.add(LintRule::kConstant, sev, bus[b],
-                  "output '" + name + "[" + std::to_string(b) +
-                      "]' is stuck at " +
-                      (steady.value[bus[b]] == k1 ? "1" : "0"));
-        }
-
-    // First-cycle pass: which output bits expose uninitialized flops?
-    if (!c.flops().empty()) {
-      const TernaryResult first = ternary_propagate(
-          *compiled, options.pins, {.flops_transparent = false});
-      for (const auto& [name, bus] : c.out_ports()) {
-        (void)name;
-        for (const NetId n : bus)
-          if (first.value[n] == kX && steady.value[n] != kX)
-            ++rep.uninit_output_bits;
+  // Output bits stuck at a constant.  With no pins this is suspicious
+  // (the cone cannot depend on any input); under pins it is the
+  // expected blanking statistic.
+  const LintSeverity stuck_sev =
+      options.pins.empty() ? LintSeverity::kWarning : LintSeverity::kInfo;
+  for (const auto& [name, bus] : c.out_ports())
+    for (std::size_t b = 0; b < bus.size(); ++b)
+      if (tern_is_const(steady.value[bus[b]])) {
+        ++rep.constant_output_bits;
+        out.add(LintRule::kConstant, stuck_sev, bus[b],
+                "output '" + name + "[" + std::to_string(b) +
+                    "]' is stuck at " +
+                    (steady.value[bus[b]] == k1 ? "1" : "0"));
       }
-      if (rep.uninit_output_bits > 0)
-        out.add(LintRule::kConstant, LintSeverity::kInfo, kNoNet,
-                std::to_string(rep.uninit_output_bits) +
-                    " output bit(s) read uninitialized register state on "
-                    "the first cycle (pipeline fill)");
+
+  // First-cycle pass: which output bits expose uninitialized flops?
+  if (!c.flops().empty()) {
+    const TernaryResult first = ternary_propagate(
+        compiled, options.pins, {.flops_transparent = false});
+    for (const auto& [name, bus] : c.out_ports()) {
+      (void)name;
+      for (const NetId n : bus)
+        if (first.value[n] == kX && steady.value[n] != kX)
+          ++rep.uninit_output_bits;
     }
+    if (rep.uninit_output_bits > 0)
+      out.add(LintRule::kConstant, LintSeverity::kInfo, kNoNet,
+              std::to_string(rep.uninit_output_bits) +
+                  " output bit(s) read uninitialized register state on "
+                  "the first cycle (pipeline fill)");
   }
 
   // lane-isolation -- cone-of-influence proofs under the pins.
-  if (valid && !options.lanes.empty()) {
-    const SupportMap support(*compiled, steady, pinned);
+  if (!options.lanes.empty()) {
+    std::vector<std::uint8_t> pinned(c.size(), 0);
+    for (const TernaryPin& p : options.pins) pinned[p.net] = 1;
+    const SupportMap support(compiled, steady, pinned);
     for (const LaneSpec& lane : options.lanes) {
       LaneResult res;
       res.name = lane.name;
@@ -472,111 +464,95 @@ LintReport lint_circuit(const Circuit& c, const LintOptions& options) {
   }
 
   // duplicate -- structural hashing.
-  if (valid && options.check_duplicates) {
-    rep.duplicates_ran = true;
-    const StrashResult strash = structural_hash(c);
-    rep.duplicate_gates = strash.duplicate_gates;
-    rep.structural_classes = strash.classes;
-    for (NetId i = 0; i < c.size(); ++i)
-      if (strash.is_duplicate(i)) {
-        ++module_of(i).duplicate_gates;
-        out.add(LintRule::kDuplicate, LintSeverity::kInfo, i,
-                net_label(c, i) + " duplicates net " +
-                    std::to_string(strash.rep[i]) + " (CSE opportunity)");
-      }
-  }
+  const StrashResult strash = structural_hash(c);
+  rep.duplicate_gates = strash.duplicate_gates;
+  rep.structural_classes = strash.classes;
+  for (NetId i = 0; i < c.size(); ++i)
+    if (strash.is_duplicate(i)) {
+      ++module_of(i).duplicate_gates;
+      out.add(LintRule::kDuplicate, LintSeverity::kInfo, i,
+              net_label(c, i) + " duplicates net " +
+                  std::to_string(strash.rep[i]) + " (CSE opportunity)");
+    }
 
   // unobservable -- backward reachability from the output ports.
-  if (valid && options.check_unobservable) {
-    rep.unobservable_ran = true;
-    const std::vector<std::uint8_t> unobservable = unobservable_nets(*compiled);
-    for (NetId i = 0; i < c.size(); ++i) {
-      if (!unobservable[i]) continue;
-      ++rep.unobservable_gates;
-      ++module_of(i).unobservable_gates;
-      out.add(LintRule::kUnobservable, LintSeverity::kWarning, i,
-              net_label(c, i) + " cannot reach any output port");
-    }
+  const std::vector<std::uint8_t> unobservable = unobservable_nets(compiled);
+  for (NetId i = 0; i < c.size(); ++i) {
+    if (!unobservable[i]) continue;
+    ++rep.unobservable_gates;
+    ++module_of(i).unobservable_gates;
+    out.add(LintRule::kUnobservable, LintSeverity::kWarning, i,
+            net_label(c, i) + " cannot reach any output port");
   }
 
   // fanout -- histogram, hot nets, buffer chains (counts come from the
   // shared CSR adjacency; no private fanout table).
-  if (valid && options.check_fanout) {
-    rep.fanout_ran = true;
-    for (NetId i = 0; i < c.size(); ++i) {
-      const Gate& g = c.gate(i);
-      if ((g.kind == GateKind::Buf && c.gate(g.in[0]).kind == GateKind::Buf) ||
-          (g.kind == GateKind::Not && c.gate(g.in[0]).kind == GateKind::Not)) {
-        ++rep.buffer_chain_gates;
-        out.add(LintRule::kFanout, LintSeverity::kInfo, i,
-                net_label(c, i) + " forms a " +
-                    (g.kind == GateKind::Buf ? "buffer chain"
-                                             : "double inverter"));
-      }
+  for (NetId i = 0; i < c.size(); ++i) {
+    const Gate& g = c.gate(i);
+    if ((g.kind == GateKind::Buf && c.gate(g.in[0]).kind == GateKind::Buf) ||
+        (g.kind == GateKind::Not && c.gate(g.in[0]).kind == GateKind::Not)) {
+      ++rep.buffer_chain_gates;
+      out.add(LintRule::kFanout, LintSeverity::kInfo, i,
+              net_label(c, i) + " forms a " +
+                  (g.kind == GateKind::Buf ? "buffer chain"
+                                           : "double inverter"));
     }
-    rep.fanout_hist.assign(kFanoutBuckets, 0);
-    for (NetId i = 0; i < c.size(); ++i) {
-      const GateKind k = c.gate(i).kind;
-      if (k == GateKind::Const0 || k == GateKind::Const1) continue;
-      const int f = compiled->fanout_count(i);
-      int b = 0;
-      if (f > 0) {
-        b = 1;
-        while (b < kFanoutBuckets - 1 && (1 << (b - 1)) < f) ++b;
-      }
-      ++rep.fanout_hist[static_cast<std::size_t>(b)];
-      if (f > rep.max_fanout) {
-        rep.max_fanout = f;
-        rep.max_fanout_net = i;
-      }
-      ModuleLintStats& ms = module_of(i);
-      ms.max_fanout = std::max(ms.max_fanout, f);
-      if (options.fanout_warning_threshold > 0 &&
-          f > options.fanout_warning_threshold)
-        out.add(LintRule::kFanout, LintSeverity::kWarning, i,
-                net_label(c, i) + " has fanout " + std::to_string(f) +
-                    " (threshold " +
-                    std::to_string(options.fanout_warning_threshold) + ")");
+  }
+  rep.fanout_hist.assign(kFanoutBuckets, 0);
+  for (NetId i = 0; i < c.size(); ++i) {
+    const GateKind k = c.gate(i).kind;
+    if (k == GateKind::Const0 || k == GateKind::Const1) continue;
+    const int f = compiled.fanout_count(i);
+    int b = 0;
+    if (f > 0) {
+      b = 1;
+      while (b < kFanoutBuckets - 1 && (1 << (b - 1)) < f) ++b;
     }
+    ++rep.fanout_hist[static_cast<std::size_t>(b)];
+    if (f > rep.max_fanout) {
+      rep.max_fanout = f;
+      rep.max_fanout_net = i;
+    }
+    ModuleLintStats& ms = module_of(i);
+    ms.max_fanout = std::max(ms.max_fanout, f);
+    if (options.fanout_warning_threshold > 0 &&
+        f > options.fanout_warning_threshold)
+      out.add(LintRule::kFanout, LintSeverity::kWarning, i,
+              net_label(c, i) + " has fanout " + std::to_string(f) +
+                  " (threshold " +
+                  std::to_string(options.fanout_warning_threshold) + ")");
   }
 
   // fusion -- advisory AO/OA compound-cell opportunities, via the same
   // matcher and greedy overlap resolution the optimizer pass applies.
-  if (valid && options.check_fusion) {
-    rep.fusion_ran = true;
-    const PatternContext ctx(*compiled, TechLib::lp45());
-    for (const CollectedMatch& m :
-         collect_matches(ctx, fusion_rewrite_rules())) {
-      ++rep.fusion_opportunities;
-      rep.fusion_area_nand2 += m.area_saved_nand2;
-      char area[32];
-      std::snprintf(area, sizeof area, "%.2f", m.area_saved_nand2);
-      out.add(LintRule::kFusion, LintSeverity::kInfo, m.edit.root,
-              net_label(c, m.edit.root) + " fusable (" +
-                  std::string(m.rule->name()) + ", -" + area + " NAND2)");
-    }
+  const PatternContext ctx(compiled, TechLib::lp45());
+  for (const CollectedMatch& m : collect_matches(ctx, fusion_rewrite_rules())) {
+    ++rep.fusion_opportunities;
+    rep.fusion_area_nand2 += m.area_saved_nand2;
+    char area[32];
+    std::snprintf(area, sizeof area, "%.2f", m.area_saved_nand2);
+    out.add(LintRule::kFusion, LintSeverity::kInfo, m.edit.root,
+            net_label(c, m.edit.root) + " fusable (" +
+                std::string(m.rule->name()) + ", -" + area + " NAND2)");
   }
 
   // glitch-prone -- static arrival-window hazard analysis under the same
   // pins (netlist/glitch.h), reporting the energy-ranked hot nets.
-  if (valid && options.check_glitch) {
-    rep.glitch_ran = true;
-    GlitchOptions gopt;
-    gopt.pins = options.pins;
-    gopt.max_hot = options.max_findings_per_rule;
-    const GlitchReport g = analyze_glitch(*compiled, TechLib::lp45(), gopt);
-    rep.glitch_prone_nets = g.glitchy_nets;
-    rep.glitch_score_total = g.total_score;
-    rep.glitch_energy_fj = g.total_energy_fj;
-    for (const GlitchHotNet& h : g.hot) {
-      if (h.energy_fj < options.glitch_energy_threshold_fj) break;
-      char detail[96];
-      std::snprintf(detail, sizeof detail,
-                    " (score %.1f, %.2f fJ/cycle, window %.0f ps)", h.score,
-                    h.energy_fj, h.window_ps);
-      out.add(LintRule::kGlitchProne, LintSeverity::kInfo, h.net,
-              net_label(c, h.net) + " is glitch-prone" + detail);
-    }
+  GlitchOptions gopt;
+  gopt.pins = options.pins;
+  gopt.max_hot = kMaxFindingsPerRule;
+  const GlitchReport g = analyze_glitch(compiled, TechLib::lp45(), gopt);
+  rep.glitch_prone_nets = g.glitchy_nets;
+  rep.glitch_score_total = g.total_score;
+  rep.glitch_energy_fj = g.total_energy_fj;
+  for (const GlitchHotNet& h : g.hot) {
+    if (h.energy_fj < kGlitchFindingThresholdFj) break;
+    char detail[96];
+    std::snprintf(detail, sizeof detail,
+                  " (score %.1f, %.2f fJ/cycle, window %.0f ps)", h.score,
+                  h.energy_fj, h.window_ps);
+    out.add(LintRule::kGlitchProne, LintSeverity::kInfo, h.net,
+            net_label(c, h.net) + " is glitch-prone" + detail);
   }
 
   // Drop modules no rule touched so reports stay small.
@@ -598,7 +574,7 @@ std::string lint_report_text(const LintReport& rep, const std::string& title) {
      << st.max_logic_depth << "  dangling " << st.dangling << "\n";
   os << "findings: " << rep.errors << " error(s), " << rep.warnings
      << " warning(s), " << rep.infos << " info(s)\n";
-  if (rep.constant_ran)
+  if (rep.rules_ran)
     os << "constant: blanked " << rep.blanked_gates << " (" << rep.blanked0_gates
        << " at 0), active " << rep.active_gates << ", stuck output bits "
        << rep.constant_output_bits << ", X flops " << rep.x_flops << "\n";
@@ -610,29 +586,22 @@ std::string lint_report_text(const LintReport& rep, const std::string& title) {
                ? ""
                : " (" + std::to_string(l.offenders.size()) + " offender(s))")
        << "\n";
-  if (rep.duplicates_ran)
+  if (rep.rules_ran) {
     os << "duplicate: " << rep.duplicate_gates << " redundant gate(s), "
        << rep.structural_classes << " structural classes\n";
-  if (rep.unobservable_ran)
     os << "unobservable: " << rep.unobservable_gates << " gate(s)\n";
-  if (rep.fanout_ran) {
     os << "fanout: max " << rep.max_fanout << " (net " << rep.max_fanout_net
        << "), buffer chains " << rep.buffer_chain_gates << ", hist";
     for (std::size_t b = 0; b < rep.fanout_hist.size(); ++b)
       if (rep.fanout_hist[b] != 0) os << " [" << b << "]=" << rep.fanout_hist[b];
     os << "\n";
-  }
-  if (rep.fusion_ran) {
-    char area[32];
-    std::snprintf(area, sizeof area, "%.2f", rep.fusion_area_nand2);
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "%.2f", rep.fusion_area_nand2);
     os << "fusion: " << rep.fusion_opportunities
-       << " unfused AO/OA opportunity(ies), " << area << " NAND2 fusable\n";
-  }
-  if (rep.glitch_ran) {
-    char gbuf[64];
-    std::snprintf(gbuf, sizeof gbuf, "score %.1f, %.1f fJ/cycle",
+       << " unfused AO/OA opportunity(ies), " << buf << " NAND2 fusable\n";
+    std::snprintf(buf, sizeof buf, "score %.1f, %.1f fJ/cycle",
                   rep.glitch_score_total, rep.glitch_energy_fj);
-    os << "glitch-prone: " << rep.glitch_prone_nets << " net(s), " << gbuf
+    os << "glitch-prone: " << rep.glitch_prone_nets << " net(s), " << buf
        << "\n";
   }
   for (const LintFinding& f : rep.findings)
@@ -664,7 +633,7 @@ std::string lint_report_json(const LintReport& rep, const std::string& title) {
   j.field("errors", rep.errors)
       .field("warnings", rep.warnings)
       .field("infos", rep.infos);
-  if (rep.constant_ran)
+  if (rep.rules_ran)
     j.key("constant").object()
         .field("blanked", rep.blanked_gates)
         .field("blanked0", rep.blanked0_gates)
@@ -686,24 +655,21 @@ std::string lint_report_json(const LintReport& rep, const std::string& title) {
     }
     j.end();
   }
-  if (rep.duplicates_ran)
+  if (rep.rules_ran) {
     j.field("duplicate_gates", rep.duplicate_gates)
-        .field("structural_classes", rep.structural_classes);
-  if (rep.unobservable_ran) j.field("unobservable_gates", rep.unobservable_gates);
-  if (rep.fanout_ran) {
-    j.field("max_fanout", rep.max_fanout)
+        .field("structural_classes", rep.structural_classes)
+        .field("unobservable_gates", rep.unobservable_gates)
+        .field("max_fanout", rep.max_fanout)
         .field("buffer_chain_gates", rep.buffer_chain_gates)
         .key("fanout_hist").array();
     for (const std::size_t count : rep.fanout_hist) j.value(count);
-    j.end();
-  }
-  if (rep.fusion_ran)
-    j.field("fusion_opportunities", rep.fusion_opportunities)
-        .field("fusion_area_nand2", rep.fusion_area_nand2, 3);
-  if (rep.glitch_ran)
-    j.field("glitch_prone_nets", rep.glitch_prone_nets)
+    j.end()
+        .field("fusion_opportunities", rep.fusion_opportunities)
+        .field("fusion_area_nand2", rep.fusion_area_nand2, 3)
+        .field("glitch_prone_nets", rep.glitch_prone_nets)
         .field("glitch_score_total", rep.glitch_score_total, 3)
         .field("glitch_energy_fj", rep.glitch_energy_fj, 3);
+  }
   j.key("findings").array();
   for (const LintFinding& f : rep.findings) {
     j.object()

@@ -4,12 +4,12 @@
 // "frmt = fp32x2") and emits severity-tagged findings and per-module
 // statistics, as text and JSON.  The rules:
 //
-//  structure       The generator invariants previously enforced by
+//  structure       The generator invariants reported by
 //                  verify_circuit(): every used fan-in slot references an
 //                  earlier gate (topological order), unused slots hold
 //                  kNoNet, port nets are in range, flop/input bookkeeping
-//                  matches the gate list.  Violations are errors; all
-//                  other rules run only on structurally valid circuits.
+//                  matches the gate list.  Violations are errors; on a
+//                  structurally valid circuit every other rule runs.
 //
 //  constant        Ternary 0/1/X propagation under the pinned controls
 //                  (netlist/ternary.h).  Counts blanked gates -- gates
@@ -51,10 +51,14 @@
 //                  (netlist/glitch.h) under the same pins.  Reports the
 //                  nets whose bounded extra-transition estimate weighted
 //                  by TechLib load tops the ranking -- the nets most
-//                  likely to burn glitch power -- plus circuit totals.
+//                  likely to burn glitch power, from
+//                  kGlitchFindingThresholdFj up -- plus circuit totals.
 //
-// verify_circuit() (netlist/verify.h) is now a thin wrapper over the
-// structure rule, so every existing caller goes through the analyzer.
+// There are no rule switches: LintOptions holds the pins, the lanes and
+// the fanout warning threshold.  Each rule lists at most
+// kMaxFindingsPerRule findings; the severity counts stay exact.
+// verify_circuit() (netlist/verify.h) runs the structure rule alone and
+// lists every violation.
 #pragma once
 
 #include <string>
@@ -123,25 +127,18 @@ struct ModuleLintStats {
 };
 
 struct LintOptions {
-  std::vector<TernaryPin> pins;  ///< control-net constraints
+  /// Control-net constraints; each must name a primary input (check_pins).
+  std::vector<TernaryPin> pins;
   std::vector<LaneSpec> lanes;
-
-  bool check_constants = true;
-  bool check_duplicates = true;
-  bool check_unobservable = true;
-  bool check_fanout = true;
-  bool check_fusion = true;
-  bool check_glitch = true;
-
-  /// glitch rule: emit a finding only for nets whose static glitch
-  /// energy meets this threshold [fJ/cycle] (the totals stay exact).
-  double glitch_energy_threshold_fj = 1.0;
-
-  /// Cap on emitted findings per rule (counts stay exact).
-  int max_findings_per_rule = 16;
   /// Warn on nets whose fanout exceeds this (0 disables the finding).
   int fanout_warning_threshold = 0;
 };
+
+/// Findings listed per rule; the severity counts stay exact.
+inline constexpr int kMaxFindingsPerRule = 16;
+/// glitch rule: a net gets a finding only from this static glitch
+/// energy up [fJ/cycle]; the totals stay exact.
+inline constexpr double kGlitchFindingThresholdFj = 1.0;
 
 /// Log2-bucketed fanout histogram: bucket i counts nets with fanout in
 /// [2^(i-1)+1 .. 2^i] (bucket 0 = fanout 0, bucket 1 = fanout 1).
@@ -155,8 +152,11 @@ struct LintReport {
 
   CircuitStats structure;  ///< same statistics verify_circuit() returned
 
-  // constant rule (valid when constant_ran)
-  bool constant_ran = false;
+  /// The circuit passed the structure rule, so every other rule ran
+  /// and the fields below are filled.
+  bool rules_ran = false;
+
+  // constant rule
   std::size_t blanked_gates = 0;    ///< combinational gates stuck at 0/1
   std::size_t blanked0_gates = 0;   ///< ... of which stuck at 0
   std::size_t active_gates = 0;     ///< combinational gates that can toggle
@@ -168,28 +168,23 @@ struct LintReport {
   std::vector<LaneResult> lanes;
 
   // duplicate rule
-  bool duplicates_ran = false;
   std::size_t duplicate_gates = 0;
   std::size_t structural_classes = 0;
 
   // unobservable rule
-  bool unobservable_ran = false;
   std::size_t unobservable_gates = 0;
 
   // fanout rule
-  bool fanout_ran = false;
   int max_fanout = 0;
   NetId max_fanout_net = kNoNet;
   std::size_t buffer_chain_gates = 0;  ///< Buf->Buf and Not->Not pairs
   std::vector<std::size_t> fanout_hist;  ///< kFanoutBuckets entries
 
   // fusion rule
-  bool fusion_ran = false;
   std::size_t fusion_opportunities = 0;  ///< unfused AO/OA cone matches
   double fusion_area_nand2 = 0.0;        ///< area the fusions would remove
 
   // glitch rule (netlist/glitch.h under the same pins)
-  bool glitch_ran = false;
   std::size_t glitch_prone_nets = 0;     ///< nets with a positive score
   double glitch_score_total = 0.0;       ///< bounded extra transitions
   double glitch_energy_fj = 0.0;         ///< static estimate [fJ/cycle]
@@ -205,7 +200,8 @@ struct LintReport {
   }
 };
 
-/// Runs the enabled rules and returns findings plus statistics.
+/// Runs every rule and returns findings plus statistics.  Throws
+/// std::invalid_argument when a pin does not name a primary input.
 LintReport lint_circuit(const Circuit& c, const LintOptions& options = {});
 
 /// The unobservable rule's analysis, which the fault campaign also

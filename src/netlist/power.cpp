@@ -34,13 +34,12 @@ double PowerModel::area_um2() const {
   return area_nand2_ * lib_.nand2_area_um2();
 }
 
-PowerReport PowerModel::report(const EventSim& sim, double freq_mhz,
-                               int module_depth) const {
-  return report(sim.counts(), freq_mhz, module_depth);
+PowerReport PowerModel::report(const EventSim& sim, double freq_mhz) const {
+  return report(sim.counts(), freq_mhz);
 }
 
-PowerReport PowerModel::report(const ActivityCounts& counts, double freq_mhz,
-                               int module_depth) const {
+PowerReport PowerModel::report(const ActivityCounts& counts,
+                               double freq_mhz) const {
   PowerReport r;
   r.freq_mhz = freq_mhz;
   r.cycles = counts.cycles;
@@ -64,7 +63,7 @@ PowerReport PowerModel::report(const ActivityCounts& counts, double freq_mhz,
       glitch_fj += static_cast<double>(toggles[n] - counts.functional[n]) *
                    net_energy_fj_[n];
     const std::string label =
-        truncate_module(c_.module_path(c_.gate(n).module), module_depth);
+        truncate_module(c_.module_path(c_.gate(n).module));
     // fJ over the whole sim -> mW:  fJ/ns = uW, /1000 = mW.
     r.by_module_mw[label] += e / sim_time_ns / 1000.0;
   }

@@ -33,7 +33,7 @@ struct PowerReport {
   double total_mw() const { return dynamic_mw + clock_mw + leakage_mw; }
   double freq_mhz = 0.0;
   std::uint64_t cycles = 0;
-  /// Dynamic power by module label (truncated to report depth).
+  /// Dynamic power by module label (truncate_module).
   std::map<std::string, double> by_module_mw;
 };
 
@@ -51,17 +51,14 @@ class PowerModel {
   double area_um2() const;
 
   /// Builds a report from the simulator's accumulated transition counts,
-  /// assuming a clock frequency of @p freq_mhz.  @p module_depth controls
-  /// the granularity of the per-module breakdown.
-  PowerReport report(const EventSim& sim, double freq_mhz,
-                     int module_depth = 2) const;
+  /// assuming a clock frequency of @p freq_mhz.
+  PowerReport report(const EventSim& sim, double freq_mhz) const;
 
   /// Same, from detached (possibly merged-across-shards) activity
   /// counters.  Because the merged counts are integers and the energy sum
   /// always runs in net order, the report is bit-identical however the
   /// counts were produced.
-  PowerReport report(const ActivityCounts& counts, double freq_mhz,
-                     int module_depth = 2) const;
+  PowerReport report(const ActivityCounts& counts, double freq_mhz) const;
 
  private:
   const Circuit& c_;

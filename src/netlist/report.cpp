@@ -6,9 +6,16 @@
 
 namespace mfm::netlist {
 
-std::string truncate_module(const std::string& path, int depth) {
+namespace {
+
+/// Path components a module label keeps (truncate_module).
+constexpr int kModuleDepth = 2;
+
+}  // namespace
+
+std::string truncate_module(const std::string& path) {
   std::size_t pos = 0;
-  for (int i = 0; i < depth; ++i) {
+  for (int i = 0; i < kModuleDepth; ++i) {
     pos = path.find('/', pos);
     if (pos == std::string::npos) return path;
     ++pos;
@@ -17,14 +24,13 @@ std::string truncate_module(const std::string& path, int depth) {
 }
 
 std::map<std::string, ModuleArea> area_by_module(const Circuit& c,
-                                                 const TechLib& lib,
-                                                 int module_depth) {
+                                                 const TechLib& lib) {
   std::map<std::string, ModuleArea> out;
   for (const Gate& g : c.gates()) {
     if (g.kind == GateKind::Input || g.kind == GateKind::Const0 ||
         g.kind == GateKind::Const1)
       continue;
-    auto& m = out[truncate_module(c.module_path(g.module), module_depth)];
+    auto& m = out[truncate_module(c.module_path(g.module))];
     m.area_nand2 += lib.cell(g.kind).area_nand2;
     m.gates += 1;
     if (g.kind == GateKind::Dff) m.flops += 1;

@@ -28,16 +28,14 @@ struct ModuleArea {
   std::size_t flops = 0;
 };
 
-/// The first @p depth components of a module path ("top/ppgen/row3" at
-/// depth 2 -> "top/ppgen"); the label every per-module breakdown (area,
-/// timing path segments, power, glitch) groups by.
-std::string truncate_module(const std::string& path, int depth);
+/// The first two components of a module path ("top/ppgen/row3" ->
+/// "top/ppgen"): the one module depth every per-module breakdown (area,
+/// timing path segments, power, glitch, sweep deltas) groups by.
+std::string truncate_module(const std::string& path);
 
-/// Aggregates cell area per module label, truncated to @p module_depth
-/// path components (truncate_module).
+/// Aggregates cell area per module label (truncate_module).
 std::map<std::string, ModuleArea> area_by_module(const Circuit& c,
-                                                 const TechLib& lib,
-                                                 int module_depth = 2);
+                                                 const TechLib& lib);
 
 /// Total cell area of the circuit [NAND2 equivalents].
 double total_area_nand2(const Circuit& c, const TechLib& lib);

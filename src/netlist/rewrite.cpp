@@ -2,11 +2,9 @@
 
 #include <cstdio>
 #include <sstream>
-#include <stdexcept>
 
 #include "netlist/compiled.h"
 #include "netlist/equiv.h"
-#include "netlist/glitch.h"
 #include "netlist/report.h"
 
 namespace mfm::netlist {
@@ -14,11 +12,7 @@ namespace mfm::netlist {
 RewriteResult rewrite_circuit(const Circuit& c,
                               const std::vector<const RewriteRule*>& rules,
                               const RewriteOptions& opt, const TechLib& lib) {
-  for (const TernaryPin& pin : opt.pins)
-    if (pin.net >= c.size() || c.gate(pin.net).kind != GateKind::Input)
-      throw std::invalid_argument(
-          "rewrite_circuit: pin net " + std::to_string(pin.net) +
-          " is not a primary input");
+  check_pins(c, opt.pins, "rewrite_circuit");
 
   RewriteResult result;
   RewriteReport& rep = result.report;
@@ -29,7 +23,7 @@ RewriteResult rewrite_circuit(const Circuit& c,
     rep.rules.push_back(RewriteRuleStats{std::string(r->name()), 0, 0.0});
 
   const Circuit* cur = &c;
-  for (int iter = 0; iter < opt.max_iterations; ++iter) {
+  for (int iter = 0; iter < kMaxRewriteIterations; ++iter) {
     const CompiledCircuit cc(*cur);
     const PatternContext ctx(cc, lib);
     std::vector<CollectedMatch> matches = collect_matches(ctx, rules);
@@ -56,9 +50,6 @@ RewriteResult rewrite_circuit(const Circuit& c,
 
   rep.gates_after = gate_count(*result.circuit);
   rep.area_after_nand2 = total_area_nand2(*result.circuit, lib);
-  rep.glitch_ran = true;
-  rep.glitch_before_fj = static_glitch_energy_fj(c, lib, opt.pins);
-  rep.glitch_after_fj = static_glitch_energy_fj(*result.circuit, lib, opt.pins);
 
   if (opt.verify) {
     rep.verify_ran = true;

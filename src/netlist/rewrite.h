@@ -6,7 +6,7 @@
 // conflict-free batch of cone edits, and applies the batch with
 // Circuit::replace_cone().  Every accepted match strictly decreases
 // TechLib area, so the loop terminates; it stops at the first iteration
-// with no matches (the fixpoint) or at the iteration cap.  The final
+// with no matches (the fixpoint) or after kMaxRewriteIterations.  The final
 // circuit is then re-proven against the ORIGINAL input -- pins overload
 // of check_equivalence for combinational circuits, multi-cycle random
 // cosimulation (check_equivalence_cosim) for sequential ones -- exactly
@@ -27,15 +27,15 @@
 
 namespace mfm::netlist {
 
+/// Iteration cap; a backstop, never reached in practice (each iteration
+/// must strictly shrink area).
+inline constexpr int kMaxRewriteIterations = 64;
+
 struct RewriteOptions {
   /// Control pins the re-verification runs under; must name primary
   /// inputs.  The rewrites themselves are mode-independent (pure
   /// structural identities), so pins only constrain the proof.
   std::vector<TernaryPin> pins;
-
-  /// Iteration cap; a backstop, never reached in practice (each
-  /// iteration must strictly shrink area).
-  int max_iterations = 64;
 
   /// Re-verify the rewritten circuit against the original.
   bool verify = true;
@@ -67,9 +67,11 @@ struct RewriteReport {
   std::uint64_t verify_vectors = 0;
   std::string counterexample;  ///< on a failed re-verification
 
-  /// Static glitch-energy estimate (netlist/glitch.h) of the circuit
-  /// before and after the rewrites, under the same pins -- so a rewrite
-  /// campaign can claim glitch savings, not just gate-count savings.
+  /// Static glitch-energy estimate (netlist/glitch.h) before and after,
+  /// under the same pins -- so a rewrite campaign can claim glitch
+  /// savings, not just gate-count savings.  rewrite_circuit leaves these
+  /// unset; the caller fills them over whatever span it reports (mfm_opt:
+  /// the whole sweep -> rewrite -> sweep pipeline).
   bool glitch_ran = false;
   double glitch_before_fj = 0.0;  ///< [fJ/cycle]
   double glitch_after_fj = 0.0;   ///< [fJ/cycle]

@@ -53,13 +53,16 @@ void PackSim::set_port(const std::string& name, int lane, u128 value) {
   set_bus(cc_->circuit().in_port(name), lane, value);
 }
 
+void PackSim::set_state(NetId dff, std::uint64_t word) {
+  if (dff >= cc_->size() || cc_->kind(dff) != GateKind::Dff)
+    throw std::invalid_argument("PackSim::set_state: net " +
+                                std::to_string(dff) + " is not a flop");
+  state_[cc_->flop_ordinal(dff)] = word;
+}
+
 void PackSim::eval() {
   const Circuit& c = cc_->circuit();
   const std::vector<GateKind>& kinds = cc_->kinds();
-  // Overrides are sorted by net and evaluation walks nets in order, so
-  // one merged cursor applies every override in O(1) amortized.
-  std::size_t ov = 0;
-  const bool forced = !overrides_.empty();
   for (NetId i = 0; i < kinds.size(); ++i) {
     const GateKind k = kinds[i];
     if (k == GateKind::Dff) {
@@ -73,27 +76,8 @@ void PackSim::eval() {
       const std::uint64_t d = nin > 3 ? words_[g.in[3]] : 0;
       words_[i] = eval_gate_word(k, a, b, cw, d);
     }
-    if (forced)
-      for (; ov < overrides_.size() && overrides_[ov].net == i; ++ov) {
-        const Override& o = overrides_[ov];
-        words_[i] = (words_[i] & ~o.mask) | (o.value & o.mask);
-      }
   }
 }
-
-void PackSim::force(NetId n, std::uint64_t mask, std::uint64_t value) {
-  if (n >= cc_->size())
-    throw std::invalid_argument("PackSim::force: net " + std::to_string(n) +
-                                " out of range");
-  // Insert sorted by net, after existing overrides of the same net, so
-  // same-net overrides apply in call order.
-  auto it = std::upper_bound(
-      overrides_.begin(), overrides_.end(), n,
-      [](NetId net, const Override& o) { return net < o.net; });
-  overrides_.insert(it, Override{n, mask, value});
-}
-
-void PackSim::clear_forces() { overrides_.clear(); }
 
 void PackSim::reset() {
   std::fill(words_.begin(), words_.end(), 0);

@@ -11,7 +11,9 @@
 //
 // Sequential circuits work like LevelSim: DFF output words come from
 // per-lane state captured at clock(); each lane therefore advances as an
-// independent machine, one cycle per eval()/clock() pair.
+// independent machine, one cycle per eval()/clock() pair.  set_state()
+// writes a flop's state word directly, so an analysis can treat register
+// outputs as free variables.  Every other net is computed by eval().
 #pragma once
 
 #include <cstdint>
@@ -54,27 +56,19 @@ class PackSim {
   /// Sets a named input port in lane @p lane.
   void set_port(const std::string& name, int lane, u128 value);
 
+  /// Sets the full 64-lane state word of a flop: the flop outputs it
+  /// from the next eval() until clock() or reset() replaces it.  The
+  /// sweep (netlist/sweep.h) drives the flop outputs of its signature
+  /// passes this way.  Throws std::invalid_argument when the net is not
+  /// a Dff.
+  void set_state(NetId dff, std::uint64_t word);
+
   /// Evaluates all combinational gates (all 64 lanes at once); DFFs
   /// output their current state.
   void eval();
-  /// Per-net lane override, applied inside eval() right after the net's
-  /// word is computed: lanes selected by @p mask take the corresponding
-  /// bits of @p value, so downstream gates (and clock() captures) see
-  /// the forced word.  The sweep (netlist/sweep.h) drives pinned nets
-  /// and flop outputs of its signature passes this way.  Overrides
-  /// accumulate (same-net overrides apply in call order) and persist
-  /// across eval() calls until clear_forces().  Throws
-  /// std::invalid_argument when @p n is out of range.
-  void force(NetId n, std::uint64_t mask, std::uint64_t value);
-  /// Removes every override installed by force().  Net words keep their
-  /// last evaluated value until the next eval().
-  void clear_forces();
-  bool has_forces() const { return !overrides_.empty(); }
   /// Returns every lane to the power-on state: zeroes all DFF state and
   /// all net words (primary inputs included), then eval()s -- the same
-  /// state a freshly constructed simulator starts from.  Installed
-  /// overrides are NOT removed and apply to that eval(); call
-  /// clear_forces() first for a pristine baseline.
+  /// state a freshly constructed simulator starts from.
   void reset();
   /// Clock edge: captures every DFF's D word into its state.
   void clock();
@@ -106,19 +100,10 @@ class PackSim {
   u128 read_port(const std::string& name, int lane) const;
 
  private:
-  /// One installed override, kept sorted by net so eval() can apply
-  /// them with a single merged forward walk.
-  struct Override {
-    NetId net;
-    std::uint64_t mask;
-    std::uint64_t value;
-  };
-
   std::unique_ptr<const CompiledCircuit> owned_;  // Circuit ctor only
   const CompiledCircuit* cc_;
   std::vector<std::uint64_t> words_;  // per-net lane words
   std::vector<std::uint64_t> state_;  // DFF state words by flop ordinal
-  std::vector<Override> overrides_;   // sorted by net, stable per net
 };
 
 }  // namespace mfm::netlist

@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <random>
 #include <sstream>
-#include <stdexcept>
 #include <unordered_map>
 
 #include "common/rng.h"
@@ -227,7 +226,7 @@ bool cone_differs(NetId a, NetId b, std::uint64_t passes,
 enum class ConfirmOutcome { kProven, kRefuted, kUnresolved };
 
 /// Exact confirmation of one candidate pair on its compiled cone.  A
-/// free support of at most exhaustive_support_limit variables is
+/// free support of at most kExhaustiveSupportLimit variables is
 /// evaluated over every assignment, 64 per pass: proven or refuted.  A
 /// wider support gets random_refute_passes passes of random assignments,
 /// which can only refute -- a survivor is unresolved and stays unmerged.
@@ -237,7 +236,7 @@ ConfirmOutcome confirm_pair(const Circuit& c, const PinMap& pinned, NetId a,
   gather_cone(c, pinned, a, b, s);
   compile_tape(c, pinned, a, b, s);
   const std::size_t k = s.vars.size();
-  if (static_cast<int>(k) <= opt.exhaustive_support_limit) {
+  if (static_cast<int>(k) <= kExhaustiveSupportLimit) {
     static constexpr std::uint64_t kPat[6] = {
         0xAAAAAAAAAAAAAAAAull, 0xCCCCCCCCCCCCCCCCull, 0xF0F0F0F0F0F0F0F0ull,
         0xFF00FF00FF00FF00ull, 0xFFFF0000FFFF0000ull, 0xFFFFFFFF00000000ull};
@@ -286,14 +285,9 @@ SweepResult sweep_circuit(const Circuit& c, const SweepOptions& opt,
   const CompiledCircuit cc(c);  // validates structure
   const std::size_t n = c.size();
 
+  check_pins(c, opt.pins, "sweep_circuit");
   PinMap pinned(n, 0);
-  for (const TernaryPin& pin : opt.pins) {
-    if (pin.net >= n || c.gate(pin.net).kind != GateKind::Input)
-      throw std::invalid_argument(
-          "sweep_circuit: pin net " + std::to_string(pin.net) +
-          " is not a primary input");
-    pinned[pin.net] = pin.value ? 2 : 1;
-  }
+  for (const TernaryPin& pin : opt.pins) pinned[pin.net] = pin.value ? 2 : 1;
 
   SweepResult result;
   SweepReport& rep = result.report;
@@ -331,12 +325,14 @@ SweepResult sweep_circuit(const Circuit& c, const SweepOptions& opt,
 
   // 2. Signature refinement: hash every net's 64-lane PackSim word over
   //    directed walking-one rounds plus random rounds.  Pinned inputs
-  //    are forced to their pin value; every DFF output is forced to a
-  //    fresh random word per round, making state a free cut variable --
-  //    so a proven merge is valid for every reachable state.
+  //    hold their pin value; every DFF gets a fresh random state word
+  //    per round, making state a free cut variable -- so a proven merge
+  //    is valid for every reachable state.
   std::vector<std::uint64_t> sig(n, 0x517CC1B727220A95ull);
   {
     PackSim ps(cc);
+    for (const TernaryPin& pin : opt.pins)
+      ps.set(pin.net, pin.value ? ~0ull : 0);
     std::mt19937_64 rng(opt.seed);
     std::vector<NetId> free_vars;  // unpinned inputs, then flops
     for (const NetId in : c.primary_inputs())
@@ -345,15 +341,12 @@ SweepResult sweep_circuit(const Circuit& c, const SweepOptions& opt,
     for (const NetId q : c.flops()) free_vars.push_back(q);
 
     auto run_round = [&](auto word_of) {
-      ps.clear_forces();
-      for (const TernaryPin& pin : opt.pins)
-        ps.force(pin.net, ~0ull, pin.value ? ~0ull : 0);
       for (std::size_t i = 0; i < free_vars.size(); ++i) {
         const std::uint64_t w = word_of(i);
         if (i < first_flop_var)
           ps.set(free_vars[i], w);
         else
-          ps.force(free_vars[i], ~0ull, w);
+          ps.set_state(free_vars[i], w);
       }
       ps.eval();
       for (NetId net = 0; net < n; ++net)

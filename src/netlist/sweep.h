@@ -12,14 +12,14 @@
 //      construction, merged for free);
 //   2. refine candidate classes by hashing each net's 64-bit PackSim
 //      signature word (netlist/sim_pack.h) over directed walking-one
-//      rounds plus seeded-random rounds -- pinned inputs are held at
-//      their pin value via PackSim::force(), DFF outputs are forced to
-//      fresh random words each round so state is a free cut variable;
+//      rounds plus seeded-random rounds -- pinned inputs are set once to
+//      their pin value, and every DFF gets a fresh random state word
+//      each round (PackSim::set_state) so state is a free cut variable;
 //   3. confirm each surviving candidate pair on its combined cone:
 //      exhaustive 64-lane evaluation proves or refutes a pair whose free
-//      support is small; a wider pair can only be refuted, by random
-//      cone passes -- one it survives is unresolved and stays unmerged,
-//      never wrongly merged.  Each pair's cone is compiled once into a
+//      support has at most kExhaustiveSupportLimit variables; a wider
+//      pair can only be refuted, by random cone passes -- one it
+//      survives is unresolved and stays unmerged, never wrongly merged.  Each pair's cone is compiled once into a
 //      flat tape of gate records over recycled value slots, which then
 //      runs its passes 16 at a time (one walk);
 //   4. merge proven classes through Circuit::merge_rewrite() -- fan-ins
@@ -46,6 +46,12 @@
 
 namespace mfm::netlist {
 
+/// Candidate pairs whose combined cone has at most this many free
+/// support variables (unpinned inputs + flop outputs) are proven or
+/// refuted by exhaustive 64-lane cone evaluation: 2^(k-6) passes for
+/// k > 6 variables, run 16 per walk of the cone tape.
+inline constexpr int kExhaustiveSupportLimit = 14;
+
 struct SweepOptions {
   /// Control pins the sweep (and its re-verification) runs under; must
   /// name primary-input nets.  Merges are valid only under these pins.
@@ -57,14 +63,10 @@ struct SweepOptions {
   int signature_rounds = 8;
   std::uint64_t seed = 0x5EE9;
 
-  /// Candidate pairs whose combined cone has at most this many free
-  /// support variables (unpinned inputs + flop outputs) are proven or
-  /// refuted by exhaustive 64-lane cone evaluation: 2^(k-6) passes for
-  /// k > 6 variables, run 16 per walk of the cone tape.
-  int exhaustive_support_limit = 14;
-  /// Wider-support pairs get this many random 64-lane passes over just
-  /// the pair's cone, run 16 per walk; a last, partial walk compares
-  /// only its valid passes, so the count need not be a multiple of 16.
+  /// Pairs wider than kExhaustiveSupportLimit get this many random
+  /// 64-lane passes over just the pair's cone, run 16 per walk; a last,
+  /// partial walk compares only its valid passes, so the count need not
+  /// be a multiple of 16.
   /// They can only refute: a pair that survives them counts as
   /// unresolved and stays unmerged.  In the shipped generators every
   /// merge beyond strash comes from the ternary or exhaustive stages;

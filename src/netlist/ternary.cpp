@@ -1,5 +1,8 @@
 #include "netlist/ternary.h"
 
+#include <stdexcept>
+#include <string>
+
 namespace mfm::netlist {
 
 namespace {
@@ -70,16 +73,24 @@ Tern eval_gate_ternary(GateKind k, Tern a, Tern b, Tern c, Tern d) {
   return kX;
 }
 
+void check_pins(const Circuit& c, const std::vector<TernaryPin>& pins,
+                std::string_view caller) {
+  for (const TernaryPin& p : pins)
+    if (p.net >= c.size() || c.gate(p.net).kind != GateKind::Input)
+      throw std::invalid_argument(std::string(caller) + ": pin net " +
+                                  std::to_string(p.net) +
+                                  " is not a primary input");
+}
+
 TernaryResult ternary_propagate(const CompiledCircuit& cc,
                                 const std::vector<TernaryPin>& pins,
                                 const TernaryOptions& options) {
+  check_pins(cc.circuit(), pins, "ternary_propagate");
   TernaryResult r;
   r.value.assign(cc.size(), kX);
 
-  // Pin lookup; pins override whatever the driver computes.
   std::vector<std::uint8_t> pinned(cc.size(), 0);
   for (const TernaryPin& p : pins) {
-    if (p.net >= cc.size()) continue;
     pinned[p.net] = 1;
     r.value[p.net] = tern_of(p.value);
   }

@@ -20,6 +20,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string_view>
 #include <vector>
 
 #include "netlist/circuit.h"
@@ -38,11 +39,20 @@ inline bool tern_is_const(Tern v) { return v != Tern::kX; }
 Tern eval_gate_ternary(GateKind k, Tern a, Tern b = Tern::kX,
                        Tern c = Tern::kX, Tern d = Tern::kX);
 
-/// Forces the value of one net (normally a primary input).
+/// Holds one primary input at a value (check_pins).
 struct TernaryPin {
   NetId net;
   bool value;
 };
+
+/// The one pin check of every pinned analysis (ternary_propagate,
+/// lint_circuit, analyze_glitch, measure_glitch, sweep_circuit,
+/// rewrite_circuit, FaultVectors): throws std::invalid_argument, naming
+/// @p caller, when a pin net is out of range or is not a primary input.
+/// A pin on an internal gate would override the value that gate
+/// computes, and one past the circuit would be silently dropped.
+void check_pins(const Circuit& c, const std::vector<TernaryPin>& pins,
+                std::string_view caller);
 
 /// Evaluation options (see file comment for the flop semantics).
 struct TernaryOptions {
@@ -61,8 +71,8 @@ struct TernaryResult {
 };
 
 /// Runs one topological constant-propagation pass under @p pins over a
-/// shared compilation.  Pinned values override the driver's computed
-/// value.
+/// shared compilation.  Pinned inputs hold their pin value; check_pins
+/// rejects any other pin.
 TernaryResult ternary_propagate(const CompiledCircuit& cc,
                                 const std::vector<TernaryPin>& pins = {},
                                 const TernaryOptions& options = {});

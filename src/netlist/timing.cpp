@@ -82,7 +82,7 @@ void Sta::analyze() {
   }
 }
 
-CriticalPath Sta::critical_path(int module_depth) const {
+CriticalPath Sta::critical_path() const {
   const Circuit& c = cc_->circuit();
   CriticalPath cp;
   cp.delay_ps = max_delay_ps_;
@@ -108,8 +108,7 @@ CriticalPath Sta::critical_path(int module_depth) const {
     const double d =
         (g.kind == GateKind::Dff) ? lib_.clk_to_q_ps() : lib_.delay_ps(g.kind);
     if (d == 0.0 && fanin_count(g.kind) == 0) continue;
-    const std::string label =
-        truncate_module(c.module_path(g.module), module_depth);
+    const std::string label = truncate_module(c.module_path(g.module));
     if (cp.segments.empty() || cp.segments.back().module != label)
       cp.segments.push_back(PathSegment{label, 0.0, 0});
     cp.segments.back().delay_ps += d;

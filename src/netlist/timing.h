@@ -25,7 +25,7 @@ namespace mfm::netlist {
 
 /// One section of a critical path, grouped by module label.
 struct PathSegment {
-  std::string module;  ///< module path (truncated to report depth)
+  std::string module;  ///< module path (truncate_module)
   double delay_ps = 0.0;
   int gates = 0;
 };
@@ -75,10 +75,9 @@ class Sta {
   /// max_delay_ps() expressed in FO4 units of the library.
   double max_delay_fo4() const { return max_delay_ps_ / lib_.fo4_ps(); }
 
-  /// Traces the critical path and groups it into per-module segments;
-  /// @p module_depth limits the module path to its first N components
-  /// (e.g. depth 2 turns "top/ppgen/row3" into "top/ppgen").
-  CriticalPath critical_path(int module_depth = 2) const;
+  /// Traces the critical path and groups it into per-module segments
+  /// (truncate_module labels: "top/ppgen/row3" groups as "top/ppgen").
+  CriticalPath critical_path() const;
 
   /// Arrival of the worst net belonging to module @p prefix (by path
   /// prefix match) -- useful to report when a block's outputs settle.

@@ -21,7 +21,8 @@ struct CircuitStats {
   int max_logic_depth = 0;         ///< gates on the longest topological path
 };
 
-/// Checks structural invariants:
+/// Checks structural invariants (lint_circuit's structure rule, which
+/// lists at most kMaxFindingsPerRule of them; this lists every one):
 ///  * every used fan-in slot references an earlier gate (topological order,
 ///    hence no combinational loops by construction);
 ///  * unused fan-in slots hold kNoNet;

@@ -318,7 +318,7 @@ TEST(MfTiming, Fig5CriticalPathIsInStage2Near880MHz) {
   EXPECT_GT(fmax_mhz, 750.0);
   EXPECT_LT(fmax_mhz, 1050.0);
   // The worst path runs through stage 2 (PPGEN or TREE).
-  const auto cp = sta.critical_path(2);
+  const auto cp = sta.critical_path();
   ASSERT_GE(cp.segments.size(), 2u);
   bool touches_stage2 = false;
   for (const auto& s : cp.segments)

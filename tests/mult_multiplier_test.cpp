@@ -102,7 +102,7 @@ TEST(MultiplierTiming, Radix4IsFasterRadix16HasNoPrecomputeOnlyInR4) {
   EXPECT_GT(s4.max_delay_ps(), 0.7 * s16.max_delay_ps());
   // Pre-computation only exists for radix >= 8.
   EXPECT_GT(s16.module_settle_ps("top/precomp"), 0.0);
-  const auto cp16 = s16.critical_path(2);
+  const auto cp16 = s16.critical_path();
   ASSERT_FALSE(cp16.segments.empty());
   EXPECT_EQ(cp16.segments.front().module, "top/precomp");
 }
@@ -193,8 +193,8 @@ TEST(MultiplierArea, Radix16SmallerTreeLargerPPGen) {
   const auto& lib = TechLib::lp45();
   const auto r4 = build_radix4_64();
   const auto r16 = build_radix16_64();
-  const auto a4 = netlist::area_by_module(*r4.circuit, lib, 2);
-  const auto a16 = netlist::area_by_module(*r16.circuit, lib, 2);
+  const auto a4 = netlist::area_by_module(*r4.circuit, lib);
+  const auto a16 = netlist::area_by_module(*r16.circuit, lib);
   EXPECT_GT(a4.at("top/tree").area_nand2, 1.5 * a16.at("top/tree").area_nand2);
   EXPECT_GT(a16.at("top/ppgen").area_nand2 +
                 a16.at("top/precomp").area_nand2,

@@ -7,9 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 #include "mf/mf_unit.h"
 #include "netlist/bus.h"
+#include "netlist/compiled.h"
+#include "netlist/fault.h"
+#include "netlist/glitch.h"
 #include "netlist/lint.h"
 #include "netlist/structural_hash.h"
 #include "netlist/ternary.h"
@@ -85,7 +89,7 @@ TEST(CircuitGuards, OutputRejectsBadNets) {
   EXPECT_NO_THROW(c.output("y", a));
 }
 
-// ---- structure rule (and the verify_circuit wrapper) -----------------------
+// ---- structure rule (lint_circuit and verify_circuit) ----------------------
 
 TEST(LintStructure, RawBackdoorViolationsAreReported) {
   Circuit c;
@@ -105,8 +109,36 @@ TEST(LintStructure, RawBackdoorViolationsAreReported) {
   EXPECT_EQ(rep.errors, 3u);
   EXPECT_FALSE(rep.clean());
   // Value-based rules must not run on a structurally broken circuit.
-  EXPECT_FALSE(rep.constant_ran);
-  EXPECT_FALSE(rep.duplicates_ran);
+  EXPECT_FALSE(rep.rules_ran);
+}
+
+TEST(LintStructure, FindingListIsCappedButCountsAreNot) {
+  // 20 structural violations: verify_circuit lists every one, while
+  // lint_circuit counts all 20 errors but lists only 16 per rule.  The
+  // "value-based rules skipped" info is counted past the cap too.
+  Circuit c;
+  const NetId a = c.input("a");
+  for (NetId i = 0; i < 20; ++i)
+    c.add_raw(GateKind::And2, {a, 12345 + i, kNoNet, kNoNet});
+  c.output("y", a);
+
+  std::vector<std::string> findings;
+  const CircuitStats st = verify_circuit(c, &findings);
+  ASSERT_EQ(findings.size(), 20u);
+  for (const std::string& f : findings)
+    EXPECT_NE(f.find("not topological"), std::string::npos) << f;
+  EXPECT_EQ(st.combinational, 20u);
+
+  const LintReport rep = lint_circuit(c);
+  EXPECT_EQ(rep.errors, 20u);
+  EXPECT_EQ(rep.infos, 1u);
+  ASSERT_EQ(rep.findings.size(), 16u);
+  for (const LintFinding& f : rep.findings) {
+    EXPECT_EQ(f.rule, LintRule::kStructure);
+    EXPECT_EQ(f.severity, LintSeverity::kError);
+  }
+  EXPECT_EQ(rep.findings.front().net, 3u);  // gates 0..2: consts and a
+  EXPECT_EQ(rep.findings.back().net, 18u);
 }
 
 TEST(LintStructure, CleanCircuitHasNoErrors) {
@@ -123,7 +155,7 @@ TEST(LintStructure, CleanCircuitHasNoErrors) {
 
   const LintReport rep = lint_circuit(c);
   EXPECT_EQ(rep.errors, 0u);
-  EXPECT_TRUE(rep.constant_ran);
+  EXPECT_TRUE(rep.rules_ran);
 }
 
 // ---- constant rule ---------------------------------------------------------
@@ -337,13 +369,12 @@ TEST(LintGlitch, SkewedReconvergenceFiresGlitchProneInfo) {
   const NetId x = c.add(GateKind::Xor2, a, n);
   c.output("y", x);
 
-  LintOptions opt;
-  opt.glitch_energy_threshold_fj = 0.01;
-  const LintReport rep = lint_circuit(c, opt);
-  EXPECT_TRUE(rep.glitch_ran);
+  const LintReport rep = lint_circuit(c);
+  EXPECT_TRUE(rep.rules_ran);
   EXPECT_EQ(rep.glitch_prone_nets, 1u);
   EXPECT_GT(rep.glitch_score_total, 0.0);
-  EXPECT_GT(rep.glitch_energy_fj, 0.0);
+  // The one hot net scores above the finding threshold, so it fires.
+  EXPECT_GE(rep.glitch_energy_fj, kGlitchFindingThresholdFj);
   bool fired = false;
   for (const LintFinding& f : rep.findings)
     if (f.rule == LintRule::kGlitchProne) {
@@ -358,19 +389,74 @@ TEST(LintGlitch, SkewedReconvergenceFiresGlitchProneInfo) {
   EXPECT_NE(json.find("\"glitch_energy_fj\":"), std::string::npos);
 
   // Pinning the input freezes the cone: the rule still runs, nothing
-  // fires.  Disabling the rule skips it entirely.
-  LintOptions pinned = opt;
+  // fires.
+  LintOptions pinned;
   pinned.pins = {{a, false}};
   const LintReport quiet = lint_circuit(c, pinned);
-  EXPECT_TRUE(quiet.glitch_ran);
+  EXPECT_TRUE(quiet.rules_ran);
   EXPECT_EQ(quiet.glitch_prone_nets, 0u);
-
-  LintOptions off;
-  off.check_glitch = false;
-  const LintReport skipped = lint_circuit(c, off);
-  EXPECT_FALSE(skipped.glitch_ran);
-  for (const LintFinding& f : skipped.findings)
+  for (const LintFinding& f : quiet.findings)
     EXPECT_NE(f.rule, LintRule::kGlitchProne);
+}
+
+// ---- the one pin check -----------------------------------------------------
+
+TEST(PinCheck, PinOnAGateProvesNoIsolation) {
+  // Pinning gate y itself would make y's cone constant and "prove" the
+  // lane free of b, which y reads.  Pins name primary inputs only.
+  Circuit c;
+  const NetId a = c.input("a");
+  const NetId b = c.input("b");
+  const NetId y = c.and2(a, b);
+  c.output("y", y);
+  LintOptions opt;
+  opt.pins = {{y, false}};
+  opt.lanes.push_back({"y", Bus{y}, Bus{b}});
+  EXPECT_THROW(lint_circuit(c, opt), std::invalid_argument);
+  opt.pins = {{a, false}};
+  EXPECT_TRUE(lint_circuit(c, opt).lanes[0].ok);  // a = 0 blanks y
+  opt.pins.clear();
+  EXPECT_FALSE(lint_circuit(c, opt).lanes[0].ok);
+}
+
+TEST(PinCheck, EveryPinnedAnalysisRejectsNonInputPins) {
+  Circuit c;
+  const NetId a = c.input("a");
+  const NetId b = c.input("b");
+  const NetId y = c.and2(a, b);
+  c.output("y", y);
+  const CompiledCircuit cc(c);
+  for (const NetId bad : {y, NetId{12345}}) {
+    const std::vector<TernaryPin> pins{{bad, true}};
+    LintOptions lo;
+    lo.pins = pins;
+    EXPECT_THROW(lint_circuit(c, lo), std::invalid_argument) << bad;
+    EXPECT_THROW(ternary_propagate(cc, pins), std::invalid_argument) << bad;
+    GlitchOptions go;
+    go.pins = pins;
+    EXPECT_THROW(analyze_glitch(cc, TechLib::lp45(), go),
+                 std::invalid_argument)
+        << bad;
+    EXPECT_THROW(FaultVectors(c, 4, /*seed=*/1, pins), std::invalid_argument)
+        << bad;
+    EXPECT_THROW(FaultVectors::exhaustive(c, pins), std::invalid_argument)
+        << bad;
+  }
+  // The message names the analysis that was called.
+  try {
+    LintOptions lo;
+    lo.pins = {{y, true}};
+    lint_circuit(c, lo);
+    ADD_FAILURE() << "no throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "lint_circuit: pin net " + std::to_string(y) +
+                  " is not a primary input");
+  }
+  // Input pins pass every one of them.
+  const std::vector<TernaryPin> good{{a, true}, {b, false}};
+  EXPECT_EQ(ternary_propagate(cc, good).value[y], Tern::k0);
+  EXPECT_NO_THROW(FaultVectors(c, 4, /*seed=*/1, good));
 }
 
 // ---- helpers ---------------------------------------------------------------
@@ -472,12 +558,8 @@ TEST_F(MfLint, TableVActiveGateOrdering) {
   // of combinational gates that can toggle at all shrinks monotonically
   // int64 -> fp64 -> fp32x2 -> fp32x1.
   const mf::MfUnit& u = unit();
-  auto active = [&](LintOptions opt) {
-    LintOptions o = std::move(opt);
-    o.check_duplicates = false;
-    o.check_unobservable = false;
-    o.check_fanout = false;
-    return lint_circuit(*u.circuit, o).active_gates;
+  auto active = [&](const LintOptions& opt) {
+    return lint_circuit(*u.circuit, opt).active_gates;
   };
   const std::size_t int64_active = active(format_pins(mf::Format::Int64));
   const std::size_t fp64_active = active(format_pins(mf::Format::Fp64));
@@ -486,7 +568,7 @@ TEST_F(MfLint, TableVActiveGateOrdering) {
   LintOptions single = format_pins(mf::Format::Fp32Dual);
   pin_port_bits(*u.circuit, "a", 32, 32, 0, single.pins);
   pin_port_bits(*u.circuit, "b", 32, 32, 0, single.pins);
-  const std::size_t fp32x1_active = active(std::move(single));
+  const std::size_t fp32x1_active = active(single);
 
   EXPECT_GT(int64_active, fp64_active);
   EXPECT_GT(fp64_active, fp32x2_active);

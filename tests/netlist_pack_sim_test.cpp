@@ -207,35 +207,49 @@ TEST(PackSim, SetOnNonInputThrows) {
   EXPECT_NO_THROW(ps.set(unit.x.front(), ~0ull));
 }
 
-TEST(PackSim, ForceOverridesSelectedLanesOnly) {
+TEST(PackSim, SetStateShowsUntilClockOrReset) {
   Circuit c;
   const NetId a = c.input("a");
-  const NetId b = c.input("b");
-  const NetId n_and = c.and2(a, b);
-  const NetId n_not = c.not_(n_and);
-  c.output("o", n_not);
+  const NetId q = c.dff(a);
+  const NetId o = c.not_(q);
+  c.output("o", o);
   PackSim ps(c);
-  ps.set(a, ~0ull);
-  ps.set(b, ~0ull);
+  ps.set(a, 0b0110);
 
-  // Stuck-at-0 on n_and in lanes 1 and 3: the override must land after
-  // the gate evaluates and propagate to the downstream NOT.
-  ps.force(n_and, 0b1010, 0);
-  EXPECT_TRUE(ps.has_forces());
+  // The word shows on the flop output from the next eval() on, and the
+  // logic downstream of the flop sees it.
+  ps.set_state(q, 0b1010);
+  EXPECT_EQ(ps.word(q), 0u);
   ps.eval();
-  EXPECT_EQ(ps.word(n_and), ~0b1010ull);
-  EXPECT_EQ(ps.word(n_not), 0b1010ull);
+  EXPECT_EQ(ps.word(q), 0b1010ull);
+  EXPECT_EQ(ps.word(o), ~0b1010ull);
+  ps.eval();
+  EXPECT_EQ(ps.word(q), 0b1010ull);
 
-  // Overrides persist across eval() and accumulate in call order: a
-  // second force on an overlapping mask wins on the overlap.
-  ps.force(n_and, 0b0011, ~0ull);
+  // clock() replaces it with the captured D word.
+  ps.clock();
   ps.eval();
-  EXPECT_EQ(ps.word(n_and), ~0b1000ull);
+  EXPECT_EQ(ps.word(q), 0b0110ull);
 
-  ps.clear_forces();
-  EXPECT_FALSE(ps.has_forces());
-  ps.eval();
-  EXPECT_EQ(ps.word(n_and), ~0ull);
+  // reset() zeroes it.
+  ps.set_state(q, ~0ull);
+  ps.reset();
+  EXPECT_EQ(ps.word(q), 0u);
+  EXPECT_EQ(ps.word(o), ~0ull);
+}
+
+TEST(PackSim, SetStateOnNonFlopThrows) {
+  Circuit c;
+  const NetId a = c.input("a");
+  const NetId q = c.dff(a);
+  const NetId o = c.not_(q);
+  c.output("o", o);
+  PackSim ps(c);
+  EXPECT_THROW(ps.set_state(a, ~0ull), std::invalid_argument);
+  EXPECT_THROW(ps.set_state(o, ~0ull), std::invalid_argument);
+  EXPECT_THROW(ps.set_state(static_cast<NetId>(c.size()), ~0ull),
+               std::invalid_argument);
+  EXPECT_NO_THROW(ps.set_state(q, ~0ull));
 }
 
 TEST(PackSim, ResetRestoresPowerOnState) {
@@ -256,21 +270,6 @@ TEST(PackSim, ResetRestoresPowerOnState) {
   EXPECT_EQ(ps.word(a), 0u);
   EXPECT_EQ(ps.word(q), 0u);
   EXPECT_EQ(ps.word(o), ~0ull);
-
-  // Installed overrides survive reset() and apply to its eval(); call
-  // clear_forces() first for a pristine baseline.
-  ps.force(q, 0b1, ~0ull);
-  ps.reset();
-  EXPECT_EQ(ps.word(q), 0b1ull);
-  EXPECT_EQ(ps.word(o), ~0b1ull);
-}
-
-TEST(PackSim, ForceOutOfRangeThrows) {
-  Circuit c;
-  c.output("o", c.not_(c.input("a")));
-  PackSim ps(c);
-  const NetId bogus = static_cast<NetId>(c.size());
-  EXPECT_THROW(ps.force(bogus, ~0ull, 0), std::invalid_argument);
 }
 
 TEST(PackSim, WordAndValueBoundsThrow) {

@@ -134,7 +134,7 @@ TEST(PowerModel, AreaReportMatchesTotals) {
   EXPECT_NEAR(pm.area_nand2(), total_area_nand2(c, lib()), 1e-9);
   EXPECT_NEAR(pm.area_um2(), pm.area_nand2() * lib().nand2_area_um2(), 1e-9);
 
-  const auto by_mod = area_by_module(c, lib(), 2);
+  const auto by_mod = area_by_module(c, lib());
   double sum = 0;
   for (const auto& [m, ma] : by_mod) sum += ma.area_nand2;
   EXPECT_NEAR(sum, pm.area_nand2(), 1e-9);

@@ -504,13 +504,8 @@ TEST(RewriteProperty, MfUnitOptimizesUnderFormatPins) {
 // ---- lint-fusion / optimizer agreement -------------------------------------
 
 void expect_lint_matches_pass(const Circuit& c) {
-  LintOptions lo;
-  lo.check_constants = false;
-  lo.check_duplicates = false;
-  lo.check_unobservable = false;
-  lo.check_fanout = false;
-  const LintReport before = lint_circuit(c, lo);
-  ASSERT_TRUE(before.fusion_ran);
+  const LintReport before = lint_circuit(c);
+  ASSERT_TRUE(before.rules_ran);
 
   RewriteOptions opt;
   opt.verify_vectors = 1000;
@@ -522,7 +517,7 @@ void expect_lint_matches_pass(const Circuit& c) {
   EXPECT_EQ(before.fusion_opportunities, r.report.applied);
   EXPECT_LE(r.report.iterations, 1);
 
-  const LintReport after = lint_circuit(*r.circuit, lo);
+  const LintReport after = lint_circuit(*r.circuit);
   EXPECT_EQ(after.fusion_opportunities, 0u);
   EXPECT_DOUBLE_EQ(after.fusion_area_nand2, 0.0);
 }

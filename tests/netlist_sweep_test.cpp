@@ -89,8 +89,8 @@ TEST(Sweep, WideSupportCollisionStaysUnmerged) {
   const Bus x = c.input_bus("x", 20);
   const NetId eq = needle_comparator(c, x, 0xA6D36u);
   c.output("eq", eq);
+  static_assert(kExhaustiveSupportLimit == 14);
   SweepOptions opt;
-  opt.exhaustive_support_limit = 14;
   opt.random_refute_passes = 0;
   const SweepResult res = sweep_circuit(c, opt);
   EXPECT_GE(res.report.candidates, 1u) << "signature did not collide";
@@ -501,6 +501,76 @@ TEST(Sweep, MfUnitFp32x1ModeSpecializes) {
   EXPECT_EQ(res.report.gates_after, 3657u);
   ASSERT_TRUE(res.report.verify_ran);
   EXPECT_TRUE(res.report.verified) << res.report.counterexample;
+}
+
+// ---- pipelined builds: flop outputs as free variables ----------------------
+//
+// The signature rounds drive every flop output with a fresh random word,
+// and the confirmation cones cut at flops, so these two pin the sweep's
+// handling of state.  Every counter is pinned.
+
+struct SweepCounts {
+  std::size_t gates_before, gates_after, strash_merged, proven_ternary,
+      candidate_classes, candidates, proven_exhaustive, refuted, unresolved,
+      merged_gates, dead_gates;
+};
+
+void expect_counts(const SweepReport& r, const SweepCounts& want) {
+  EXPECT_EQ(r.gates_before, want.gates_before);
+  EXPECT_EQ(r.gates_after, want.gates_after);
+  EXPECT_EQ(r.strash_merged, want.strash_merged);
+  EXPECT_EQ(r.proven_ternary, want.proven_ternary);
+  EXPECT_EQ(r.candidate_classes, want.candidate_classes);
+  EXPECT_EQ(r.candidates, want.candidates);
+  EXPECT_EQ(r.proven_exhaustive, want.proven_exhaustive);
+  EXPECT_EQ(r.proven_sat, 0u);
+  EXPECT_EQ(r.refuted, want.refuted);
+  EXPECT_EQ(r.unresolved, want.unresolved);
+  EXPECT_EQ(r.merged_gates, want.merged_gates);
+  EXPECT_EQ(r.dead_gates, want.dead_gates);
+  ASSERT_TRUE(r.verify_ran);
+  EXPECT_TRUE(r.verified) << r.counterexample;
+  EXPECT_EQ(r.verify_vectors, 3584u);  // 7 cosim rounds x 8 cycles x 64 lanes
+}
+
+TEST(Sweep, PipelinedMfFp32x2CountsPinned) {
+  // Fig. 5's three-stage build under the fp32x2 format pins: pinned
+  // inputs and register outputs both feed the signature rounds.
+  const mf::MfUnit unit = mf::build_mf_unit();
+  const Circuit& c = *unit.circuit;
+  ASSERT_FALSE(c.flops().empty());
+  SweepOptions opt;
+  pin_port(c, "frmt", mf::frmt_bits(mf::Format::Fp32Dual), opt.pins);
+  const SweepResult res = sweep_circuit(c, opt);
+  expect_counts(res.report, {.gates_before = 20298,
+                             .gates_after = 17045,
+                             .strash_merged = 2213,
+                             .proven_ternary = 520,
+                             .candidate_classes = 443,
+                             .candidates = 3098,
+                             .proven_exhaustive = 117,
+                             .refuted = 1885,
+                             .unresolved = 1096,
+                             .merged_gates = 2850,
+                             .dead_gates = 403});
+}
+
+TEST(Sweep, PipelinedRadix16CountsPinned) {
+  // The two-stage radix-16 64-bit multiplier, cut after PPGEN.
+  const auto unit = mult::build_radix16_64(mult::PipelineCut::AfterPPGen);
+  ASSERT_FALSE(unit.circuit->flops().empty());
+  const SweepResult res = sweep_circuit(*unit.circuit, {});
+  expect_counts(res.report, {.gates_before = 16939,
+                             .gates_after = 15694,
+                             .strash_merged = 907,
+                             .proven_ternary = 0,
+                             .candidate_classes = 162,
+                             .candidates = 2466,
+                             .proven_exhaustive = 32,
+                             .refuted = 1712,
+                             .unresolved = 722,
+                             .merged_gates = 939,
+                             .dead_gates = 306});
 }
 
 }  // namespace

@@ -72,7 +72,7 @@ TEST(Sta, CriticalPathSegmentsFollowModules) {
   }
   c.output("o", n);
   Sta sta(c, lib());
-  const auto cp = sta.critical_path(2);
+  const auto cp = sta.critical_path();
   ASSERT_EQ(cp.segments.size(), 2u);
   EXPECT_EQ(cp.segments[0].module, "top/front");
   EXPECT_EQ(cp.segments[0].gates, 3);

@@ -38,7 +38,7 @@ TEST(ReportJson, LintEveryRuleAndANullNet) {
   r.warnings = 1;
   r.infos = 1;
   r.structure = {120, 80, 4, 30, 2, 3, 17};
-  r.constant_ran = true;
+  r.rules_ran = true;
   r.blanked_gates = 11;
   r.blanked0_gates = 5;
   r.active_gates = 69;
@@ -46,20 +46,15 @@ TEST(ReportJson, LintEveryRuleAndANullNet) {
   r.x_flops = 1;
   r.uninit_output_bits = 3;
   r.lanes = {{"lo\"lane", true, false, {}}, {"hi", false, true, {7, 9}}};
-  r.duplicates_ran = true;
   r.duplicate_gates = 4;
   r.structural_classes = 77;
-  r.unobservable_ran = true;
   r.unobservable_gates = 6;
-  r.fanout_ran = true;
   r.max_fanout = 13;
   r.max_fanout_net = 9;
   r.buffer_chain_gates = 2;
   r.fanout_hist = {3, 50, 20, 0, 5};
-  r.fusion_ran = true;
   r.fusion_opportunities = 3;
   r.fusion_area_nand2 = 2.0625;
-  r.glitch_ran = true;
   r.glitch_prone_nets = 8;
   r.glitch_score_total = 12.25;
   r.glitch_energy_fj = 1234.5678;

@@ -79,7 +79,7 @@ int main(int argc, char** argv) {
         const LintReport rep = lint_circuit(*ctx.unit.circuit, opt);
         JobResult r;
         r.failed = !rep.clean(cli.fail_on);
-        if (rep.constant_ran && !opt.pins.empty()) {
+        if (rep.rules_ran && !opt.pins.empty()) {
           r.has_active = true;
           r.active_gates = rep.active_gates;
         }

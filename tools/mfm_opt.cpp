@@ -119,8 +119,9 @@ JobResult optimize_unit(const CliOptions& cli,
   rep.area_before_nand2 = total_area_nand2(c, lib);
   rep.gates_after = mfm::netlist::gate_count(*out);
   rep.area_after_nand2 = total_area_nand2(*out, lib);
-  // End-to-end static glitch-energy delta (the rewrite stage's numbers
-  // would miss what the sweeps removed).
+  // End-to-end static glitch-energy delta: rewrite_circuit leaves these
+  // fields to its caller, and the rewrite stage alone would miss what the
+  // sweeps removed.
   rep.glitch_ran = true;
   rep.glitch_before_fj = mfm::netlist::static_glitch_energy_fj(c, lib, pins);
   rep.glitch_after_fj =
